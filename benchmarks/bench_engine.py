@@ -14,10 +14,10 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
   n = 100,000 on a ``random_sparse_graph`` of average degree ~20, while a
   replayed-coin run stays bit-identical to the engine.
 * **E19**: faulty dense runs keep the dense speedup — the counter-based
-  mask kernel (``fault_mode="mask"``) builds the per-round delivery mask
-  of an ``IIDMessageDrop(p=0.05)`` scenario at n = 100,000, deg ~20 at
-  >= 8x the per-slot-loop (replay) baseline, and a full faulty mask-mode
-  Luby run completes; both timings land in the BENCH json rows.
+  mask kernel builds the per-round delivery mask of an
+  ``IIDMessageDrop(p=0.05)`` scenario at n = 100,000, deg ~20 at >= 8x
+  the per-slot scalar-fallback loop over the same coin chain, and a full
+  faulty Luby run completes; both timings land in the BENCH json rows.
 * **E20**: trial batching — solving many seeds in one batched kernel call
   beats the per-trial dense loop >= 4x.
 * **E21**: observability is free when off — a dense Luby run at
@@ -101,30 +101,28 @@ def test_e18_dense_backend_mis_speedup(benchmark):
     engine.dense_arrays()  # pay the numpy mirror once, like the engine's packing
 
     # Correctness before speed: a replayed-coin dense run must be
-    # bit-identical to the engine; the philox run must be a valid MIS.
+    # bit-identical to the engine; the keyed run must be a valid MIS.
     fast = engine.run(LubyMIS(), seed=1)
     replay = luby_mis_dense(engine, seed=1, coins="replay")
     assert replay.rounds == fast.rounds
     assert [bool(x) for x in replay.in_mis] == [
         bool(v.state.get("in_mis")) for v in fast.views
     ]
-    dense = luby_mis_dense(engine, seed=1, coins="philox")
+    dense = luby_mis_dense(engine, seed=1)
     assert dense.completed
     from repro.mis.luby import is_mis
 
     assert is_mis(adj, {int(i) for i in dense.in_mis.nonzero()[0]})
 
     t_engine = best_of(lambda: engine.run(LubyMIS(), seed=1), repeat=2)
-    t_dense = best_of(lambda: luby_mis_dense(engine, seed=1, coins="philox"), repeat=5)
+    t_dense = best_of(lambda: luby_mis_dense(engine, seed=1), repeat=5)
     speedup = t_engine / t_dense
     if speedup < 10.0:
         t_engine = min(t_engine, best_of(lambda: engine.run(LubyMIS(), seed=1), repeat=2))
-        t_dense = min(
-            t_dense, best_of(lambda: luby_mis_dense(engine, seed=1, coins="philox"), repeat=5)
-        )
+        t_dense = min(t_dense, best_of(lambda: luby_mis_dense(engine, seed=1), repeat=5))
         speedup = t_engine / t_dense
 
-    benchmark(lambda: luby_mis_dense(engine, seed=1, coins="philox"))
+    benchmark(lambda: luby_mis_dense(engine, seed=1))
     attach_rows(
         benchmark,
         "E18: dense numpy backend vs batched engine (Luby MIS)",
@@ -144,23 +142,33 @@ def test_e18_dense_backend_mis_speedup(benchmark):
 
 
 def test_e19_fault_mask_dense_mis_speedup(benchmark):
-    """Mask-mode fault kernels >= 8x over the per-slot loop at n = 100k.
+    """Vectorized fault-mask kernel >= 8x over the per-slot loop at n = 100k.
 
-    The baseline is the replay-mode mask build — exactly the per-slot
-    python sweep over scalar ``fault_u01`` coins that ``DenseFaults`` ran
-    before the vectorized path existed (sha512-seeded ``random.Random``
-    per slot, O(m) interpreter work per round).  The contender is one
-    counter-based hash-kernel call per round.  Both are one-round costs on
-    the same engine and stack, so the ratio is the per-round fault-mask
-    overhead a faulty dense sweep pays.
+    The baseline is ``DenseFaults``' scalar fallback — the per-slot python
+    sweep over the pure scalar ``delivers`` decision it runs for
+    perturbations without a vectorized path, here evaluating the same
+    ``fault_u01`` chain one slot at a time (O(m) interpreter work per
+    round).  The contender is one counter-based hash-kernel call per round.
+    Both are one-round costs on the same engine and schedule, so the ratio
+    is the per-round fault-mask overhead a faulty dense sweep saves.
     """
     import time
 
     import numpy as np
 
     from repro.local.dense import luby_mis_dense
-    from repro.scenarios import IIDMessageDrop, bind_all
+    from repro.scenarios import BoundPerturbation, IIDMessageDrop, bind_all
     from repro.scenarios.masks import DenseFaults, SlotLayout
+
+    class ScalarOnly(BoundPerturbation):
+        """The bound drop schedule without its vectorized ``delivers_mask``,
+        so ``DenseFaults`` takes the per-slot scalar fallback."""
+
+        drops_messages = True
+
+        def __init__(self, inner):
+            self.delivers = inner.delivers
+            self.quiet_after = inner.quiet_after
 
     adj = random_sparse_graph(DENSE_N, DENSE_AVG_DEGREE, seed=19)
     engine = CSREngine(Network(adj))
@@ -168,31 +176,34 @@ def test_e19_fault_mask_dense_mis_speedup(benchmark):
     net = engine.network
     layout = SlotLayout(engine)
     perts = (IIDMessageDrop(p=0.05),)
-    bound_mask = bind_all(perts, net, fault_seed=1, fault_mode="mask")
-    bound_loop = bind_all(perts, net, fault_seed=1, fault_mode="replay")
+    bound_mask = bind_all(perts, net, fault_seed=1)
+    bound_loop = tuple(ScalarOnly(b) for b in bound_mask)
 
     # Correctness before speed: delivered_in must be the partner-gather of
-    # delivered_out, and the mask drop rate must sit at p.
+    # delivered_out, the mask drop rate must sit at p, and the scalar
+    # fallback must reproduce the kernel's mask slot for slot.
     faults = DenseFaults(engine, bound_mask, layout=layout)
     out1 = faults.delivered_out(1)
     assert np.array_equal(faults.delivered_in(1), out1[layout.partner])
     drop_rate = 1.0 - out1.mean()
     assert abs(drop_rate - 0.05) < 0.005, f"mask drop rate {drop_rate:.4f}"
+    assert np.array_equal(
+        DenseFaults(engine, bound_loop, layout=layout).delivered_out(1), out1
+    )
 
-    # A full faulty mask-mode run completes (under pure drops nobody
-    # crashes and every node still decides).
+    # A full faulty run completes (under pure drops nobody crashes and
+    # every node still decides).
     start = time.perf_counter()
     dense = luby_mis_dense(
-        engine, seed=1, coins="philox",
-        faults=DenseFaults(engine, bound_mask, layout=layout),
+        engine, seed=1, faults=DenseFaults(engine, bound_mask, layout=layout),
     )
     t_faulty_run = time.perf_counter() - start
     assert dense.completed and not dense.crashed.any()
 
     # Per-round mask build: per-slot loop baseline vs counter-based kernel.
     # A fresh DenseFaults per call defeats its round cache; repeat=1 for
-    # the baseline (a single sweep is ~seconds of sha512 work, and noise
-    # only helps the gate), with one remeasure before failing.
+    # the baseline (a single sweep is seconds of interpreter work, and
+    # noise only helps the gate), with one remeasure before failing.
     t_loop = best_of(
         lambda: DenseFaults(engine, bound_loop, layout=layout).delivered_out(1),
         repeat=1,
@@ -247,7 +258,7 @@ def test_e20_trial_batched_dense_mis_speedup(benchmark):
     tail once frontiers are small) against the baseline every sweep ran
     before: 64 sequential ``luby_mis_dense`` calls.  Correctness first:
     spot-check trials of the batch must be bit-identical to sequential
-    ``coins="keyed"`` runs, and the per-trial round counts must be ragged
+    default-coin runs, and the per-trial round counts must be ragged
     (trials genuinely finish at different rounds and freeze).
     """
     from repro.local.dense import luby_mis_batched, luby_mis_dense
@@ -260,7 +271,7 @@ def test_e20_trial_batched_dense_mis_speedup(benchmark):
     batch = luby_mis_batched(engine, seeds)
     assert bool(batch.completed.all())
     for s in (0, 17, 63):
-        seq = luby_mis_dense(engine, seed=s, coins="keyed")
+        seq = luby_mis_dense(engine, seed=s)
         assert (batch.in_mis[s] == seq.in_mis).all()
         assert int(batch.rounds[s]) == seq.rounds
     import numpy as np
@@ -269,7 +280,7 @@ def test_e20_trial_batched_dense_mis_speedup(benchmark):
 
     def per_trial_loop():
         for s in seeds:
-            luby_mis_dense(engine, seed=s, coins="philox")
+            luby_mis_dense(engine, seed=s)
 
     t_loop = best_of(per_trial_loop, repeat=2)
     t_batch = best_of(lambda: luby_mis_batched(engine, seeds), repeat=3)
@@ -378,10 +389,10 @@ def test_e21_noop_tracer_overhead(benchmark):
     null = NullTracer()
 
     def untraced():
-        return luby_mis_dense(big, seed=1, coins="philox")
+        return luby_mis_dense(big, seed=1)
 
     def traced():
-        return luby_mis_dense(big, seed=1, coins="philox", tracer=null)
+        return luby_mis_dense(big, seed=1, tracer=null)
 
     t_plain = best_of(untraced, repeat=5)
     t_traced = best_of(traced, repeat=5)

@@ -198,7 +198,7 @@ def uniform_splitting(
     method: str = "derandomized",
     seed: SeedLike = None,
     max_attempts: int = 64,
-    coins="philox",
+    coins="keyed",
     engine: Optional[CSREngine] = None,
     hooks=None,
     faults=None,
@@ -217,7 +217,7 @@ def uniform_splitting(
     check distributed to the nodes themselves; ``method="dense"`` runs the
     identical Las-Vegas loop through the vectorized numpy kernel
     (:func:`repro.local.dense.uniform_splitting_dense`) — with the default
-    counter-based ``coins="philox"`` it is distribution-identical with
+    counter-based ``coins="keyed"`` it is distribution-identical with
     O(1) per-attempt setup (the performance mode, like the other dense
     pipelines), with ``coins="replay"`` the accepted partition is
     bit-identical to ``method="local"`` for the same seed.  A prebuilt
@@ -239,7 +239,7 @@ def uniform_splitting(
     ``method="dense-batched"`` runs the Las-Vegas loop for a whole batch
     of master seeds in one kernel call: pass a sequence of seeds as
     ``seed`` and get back a list of color lists, one per seed, each
-    bit-identical to a ``method="dense", coins="keyed"`` run of that seed
+    bit-identical to a ``method="dense"`` run of that seed
     (:func:`repro.local.dense.uniform_splitting_batched`).  The ledger is
     charged one verification round per attempt per trial.
 
@@ -248,7 +248,7 @@ def uniform_splitting(
     (:func:`repro.local.sharded.uniform_splitting_sharded`): colors are
     keyed counter-based per ``(attempt seed, node)``, so attempts need no
     halo exchange at all and the accepted partition is bit-identical to a
-    ``method="dense", coins="keyed"`` run of the same seed.  Pass
+    ``method="dense"`` run of the same seed.  Pass
     ``executor`` (a live :class:`~repro.local.sharded.ShardedExecutor`) to
     keep shard workers hot across calls; ``shards`` sizes a throwaway one.
     """
@@ -258,7 +258,7 @@ def uniform_splitting(
         from repro.local.sharded import uniform_splitting_sharded
 
         require(
-            coins in ("philox", "keyed"),
+            coins == "keyed",
             f"dense-sharded runs keyed coins only, got coins={coins!r}",
         )
         if engine is None:

@@ -396,7 +396,6 @@ def splitting_workload(
         method=method,
         seed=seed,
         engine=engine,
-        coins="philox" if method in ("dense", "dense-sharded") else "replay",
         executor=executor,
     )
     solve = time.perf_counter() - start
@@ -460,7 +459,6 @@ def scenario_workload(
     degree: int = None,
     backend: str = "engine",
     graph_seed: int = 5,
-    fault_mode: str = "replay",
     recover: bool = False,
     trace_out: str = None,
 ) -> Dict[str, Any]:
@@ -474,10 +472,7 @@ def scenario_workload(
     curate.
 
     The trial seed drives both the algorithm's coins and the deterministic
-    fault schedule; ``fault_mode`` picks the fault-coin kernel
-    (``"replay"`` — the historical bit-identity schedule, ``"mask"`` — the
-    vectorized counter-based kernel for large-n dense sweeps).  The
-    returned metrics are the scenario runner's resilience channels
+    fault schedule.  The returned metrics are the scenario runner's resilience channels
     (``violations``, ``survivors``, ``rounds_to_recover``, ...) which land
     in the BENCH json next to the throughput numbers.  Scenario graphs are
     rewritten per scenario (relabelings, multi-edge lifts), so these cells
@@ -498,7 +493,7 @@ def scenario_workload(
         tracer = Tracer(trial=seed, backend=backend, scenario=scenario)
     metrics = run_scenario(
         scenario, n=n, degree=degree, seed=seed, graph_seed=graph_seed,
-        backend=backend, fault_mode=fault_mode, recover=recover,
+        backend=backend, recover=recover,
         tracer=tracer,
     )
     if tracer is not None:
@@ -537,7 +532,7 @@ def engine_throughput_workload(
     t_engine = time.perf_counter() - start
 
     start = time.perf_counter()
-    dense = luby_mis_dense(engine, seed=seed, coins="philox")
+    dense = luby_mis_dense(engine, seed=seed)
     t_dense = time.perf_counter() - start
 
     require(
@@ -554,7 +549,7 @@ def engine_throughput_workload(
     require(
         dense.completed
         and is_mis(net.adjacency, {int(i) for i in dense.in_mis.nonzero()[0]}),
-        "dense kernel (philox coins) produced an invalid MIS",
+        "dense kernel (keyed coins) produced an invalid MIS",
     )
     return {
         "n": net.n,

@@ -18,18 +18,18 @@ me against each neighbor" into two gathers and a compare.
 
 Coin contract (see :class:`~repro.utils.rng.CoinTable`):
 
+* ``coins="keyed"`` (default) keys every value by ``(seed, counter, round
+  tag)`` with O(1) setup — **distribution-identical** to the engine and
+  order-insensitive, which is what lets a *trial-batched* kernel
+  (:func:`luby_mis_batched`, :func:`sinkless_trial_batched`,
+  :func:`uniform_splitting_batched`) or a sharded one
+  (:mod:`repro.local.sharded`) reproduce k sequential keyed runs
+  bit-for-bit while advancing all k trials through shared array passes.
 * ``coins="replay"`` feeds the kernels the *exact* per-node ``node_rng``
   streams the engine consumes, in the same per-node draw order, so outputs
   and round counts are **bit-identical** to :class:`CSREngine` (and hence to
   :func:`~repro.local.network.run_local`).  O(n) setup — for tests and
   cross-checks.
-* ``coins="philox"`` uses a counter-based numpy stream with O(1) setup —
-  **distribution-identical** runs for performance work.
-* ``coins="keyed"`` keys every value by ``(seed, counter, round tag)`` —
-  order-insensitive, which is what lets a *trial-batched* kernel
-  (:func:`luby_mis_batched`, :func:`sinkless_trial_batched`,
-  :func:`uniform_splitting_batched`) reproduce k sequential keyed runs
-  bit-for-bit while advancing all k trials through shared array passes.
 
 Each kernel documents exactly which hook-level draws it replays; any change
 to the corresponding :class:`LocalAlgorithm` must be mirrored here (the
@@ -308,7 +308,7 @@ def luby_round_dense(
 def luby_mis_dense(
     engine: CSREngine,
     seed: int = 0,
-    coins="philox",
+    coins="keyed",
     max_rounds: int = 10_000,
     faults=None,
     tracer=None,
@@ -375,7 +375,7 @@ def luby_mis_dense(
         # Odd round: active nodes draw priorities (index order, like the
         # engine's broadcast sweep — per-node replay streams make the
         # cross-node order immaterial, the per-node draw count exact).  The
-        # round tag keys the keyed kind; philox/replay ignore it.
+        # round tag keys the keyed kind; replay ignores it.
         if trace:
             phase_start = time.perf_counter()
         act_idx = np.flatnonzero(active)
@@ -585,9 +585,8 @@ def luby_mis_batched(
 
     ``faults`` is one shared :class:`~repro.scenarios.masks.DenseFaults`
     schedule broadcast across the trial axis (per-round masks are built
-    once and reused by every trial).  ``coins`` accepts ``"keyed"`` or its
-    performance-default alias ``"philox"``; ``"replay"`` streams are
-    consumption-ordered and cannot be batched.
+    once and reused by every trial).  ``coins`` must be ``"keyed"``;
+    ``"replay"`` streams are consumption-ordered and cannot be batched.
 
     ``tracer`` records one ``batch_phase`` event per communal phase (the
     per-trial round semantics of the batched regime make per-round records
@@ -597,7 +596,7 @@ def luby_mis_batched(
     of shape ``(trials, n)``.
     """
     require(
-        coins in ("keyed", "philox"),
+        coins == "keyed",
         "trial-batched kernels draw keyed counter-based coins "
         "(replay streams are consumption-ordered and cannot be batched)",
     )
@@ -756,7 +755,7 @@ def sinkless_trial_dense(
     engine: CSREngine,
     min_degree: int = 1,
     seed: int = 0,
-    coins="philox",
+    coins="keyed",
     max_rounds: int = 200,
     faults=None,
     strict: bool = True,
@@ -943,7 +942,7 @@ def sinkless_trial_batched(
     sequential driver; ``strict=False`` returns the incomplete rows.
     """
     require(
-        coins in ("keyed", "philox"),
+        coins == "keyed",
         "trial-batched kernels draw keyed counter-based coins "
         "(replay streams are consumption-ordered and cannot be batched)",
     )
@@ -1058,7 +1057,7 @@ def uniform_splitting_dense(
     engine: CSREngine,
     spec,
     seed: int = 0,
-    coins="philox",
+    coins="keyed",
     red: int = 0,
     blue: int = 1,
     faults=None,
@@ -1170,7 +1169,7 @@ def uniform_splitting_batched(
     round per attempt, applied by the wrapper).
     """
     require(
-        coins in ("keyed", "philox"),
+        coins == "keyed",
         "trial-batched kernels draw keyed counter-based coins "
         "(replay streams are consumption-ordered and cannot be batched)",
     )

@@ -65,8 +65,8 @@ class Network:
     ----------
     adjacency:
         ``adjacency[i]`` lists the node indices adjacent to node ``i``.  The
-        graph must be symmetric; parallel entries are allowed (multi-edges)
-        and are presented to the algorithm as distinct ports.
+        graph must be symmetric and loop-free; parallel entries are allowed
+        (multi-edges) and are presented to the algorithm as distinct ports.
     ids:
         Unique identifiers (the LOCAL model's O(log n)-bit names).  Defaults
         to the node indices.
@@ -79,6 +79,8 @@ class Network:
         for i, nbrs in enumerate(self.adjacency):
             for j in nbrs:
                 require(0 <= j < n, f"node {i} lists out-of-range neighbor {j}")
+                if j == i:
+                    raise ValueError(f"node {i} lists itself as a neighbor (self-loop)")
                 counts[(i, j)] = counts.get((i, j), 0) + 1
         for (i, j), c in counts.items():
             require(

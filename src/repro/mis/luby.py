@@ -86,7 +86,7 @@ def luby_mis(
     max_rounds: int = 10_000,
     label: str = "luby-mis",
     method: str = "engine",
-    coins="philox",
+    coins="keyed",
     engine=None,
     hooks=None,
     faults=None,
@@ -101,7 +101,7 @@ def luby_mis(
     for a fixed seed.  ``method="dense"`` executes the vectorized numpy
     kernel (:func:`repro.local.dense.luby_mis_dense`): with
     ``coins="replay"`` it reproduces the engine's outputs bit-for-bit, with
-    the default counter-based ``coins="philox"`` it is
+    the default counter-based ``coins="keyed"`` it is
     distribution-identical and O(1)-setup — the mode for n >= 10^5.  Pass a
     prebuilt ``engine`` (:class:`~repro.local.engine.CSREngine` over the
     same adjacency) to amortize CSR packing across calls.
@@ -119,7 +119,7 @@ def luby_mis(
     ``method="dense-batched"`` solves a whole *batch* of seeds in one
     kernel call: pass a sequence of seeds as ``seed`` and get back a list
     of ``(mis, rounds)`` pairs, one per seed, each bit-identical to a
-    ``method="dense", coins="keyed"`` run of that seed
+    ``method="dense"`` run of that seed
     (:func:`repro.local.dense.luby_mis_batched`).  The ledger is charged
     per trial.
 
@@ -127,8 +127,8 @@ def luby_mis(
     node-range shards and runs the rounds shard-local across a persistent
     process pool with per-round halo exchange
     (:func:`repro.local.sharded.luby_mis_sharded`) — bit-identical per
-    trial to ``method="dense", coins="keyed"`` (so ``coins`` must be
-    ``"keyed"`` or left at its default).  ``seed`` may be an int (one
+    trial to ``method="dense"`` (so ``coins`` must be left at its
+    ``"keyed"`` default).  ``seed`` may be an int (one
     trial) or a sequence of seeds (a batch run on hot shard workers,
     returning a list like ``dense-batched``); pass ``executor`` (a live
     :class:`~repro.local.sharded.ShardedExecutor`) to amortize
@@ -146,7 +146,7 @@ def luby_mis(
         from repro.local.sharded import ShardedExecutor, luby_mis_sharded_batch
 
         require(
-            coins in ("philox", "keyed"),
+            coins == "keyed",
             f"dense-sharded runs keyed coins only, got coins={coins!r}",
         )
         seeds = [seed] if isinstance(seed, int) else list(seed)

@@ -200,7 +200,7 @@ def run_trial_and_fix(
     seed: int = 0,
     max_rounds: int = 200,
     method: str = "engine",
-    coins="philox",
+    coins="keyed",
     engine=None,
     hooks=None,
     faults=None,
@@ -221,7 +221,7 @@ def run_trial_and_fix(
     ``method="dense"`` runs the vectorized numpy kernel
     (:func:`repro.local.dense.sinkless_trial_dense`): bit-identical
     orientation and round count with ``coins="replay"``,
-    distribution-identical with the default O(1)-setup ``coins="philox"``.
+    distribution-identical with the default O(1)-setup ``coins="keyed"``.
     Pass a prebuilt ``engine`` over the same adjacency to amortize CSR
     packing across calls.  Returns the orientation and the round count.
 
@@ -239,13 +239,13 @@ def run_trial_and_fix(
     ``method="dense-batched"`` solves a whole batch of seeds in one kernel
     call: pass a sequence of seeds as ``seed`` and get back a list of
     ``(orientation, rounds)`` pairs, one per seed, each bit-identical to a
-    ``method="dense", coins="keyed"`` run of that seed
+    ``method="dense"`` run of that seed
     (:func:`repro.local.dense.sinkless_trial_batched`).
 
     ``method="dense-sharded"`` runs the same trial across node-range CSR
     shards on a persistent process pool with one halo exchange per fix
     round (:func:`repro.local.sharded.sinkless_trial_sharded`) —
-    bit-identical per trial to ``method="dense", coins="keyed"``.  Pass
+    bit-identical per trial to ``method="dense"``.  Pass
     ``executor`` (a live :class:`~repro.local.sharded.ShardedExecutor`) to
     keep shard workers hot across calls; ``shards`` sizes a throwaway one.
     """
@@ -262,7 +262,7 @@ def run_trial_and_fix(
         from repro.local.sharded import sinkless_trial_sharded
 
         require(
-            coins in ("philox", "keyed"),
+            coins == "keyed",
             f"dense-sharded runs keyed coins only, got coins={coins!r}",
         )
         if engine is None:

@@ -31,14 +31,12 @@ sweep CLI: ``python benchmarks/run_experiments.py --scenarios all``.
 
 from repro.scenarios.adversary import AdversarialIDs, MultiEdgeLift, PortScramble
 from repro.scenarios.base import (
-    FAULT_MODES,
     BoundPerturbation,
     Perturbation,
     PerturbationHooks,
     bind_all,
     fault_u01,
     fault_u01_array,
-    fault_u01_mix,
     quiet_after,
     rewrite_all,
 )
@@ -61,7 +59,6 @@ from repro.scenarios.dynamic import (
     EdgeChurn,
     LateEdges,
     edge_key_triples,
-    edge_keys,
 )
 from repro.scenarios.faults import CrashNodes, IIDMessageDrop, MuteHubs
 from repro.scenarios.recovery import (
@@ -92,9 +89,7 @@ __all__ = [
     "bind_all",
     "rewrite_all",
     "quiet_after",
-    "FAULT_MODES",
     "fault_u01",
-    "fault_u01_mix",
     "fault_u01_array",
     # perturbations
     "CrashNodes",
@@ -107,7 +102,6 @@ __all__ = [
     "EdgeChurn",
     "LateEdges",
     "DropEdges",
-    "edge_keys",
     "edge_key_triples",
     "AdversarialIDs",
     "PortScramble",

@@ -8,8 +8,8 @@ run with ``strict=True``: the verifier-checked contract must hold exactly.
 
 Because they are rewrite-only, all three bind to the identity
 :class:`~repro.scenarios.base.BoundPerturbation`, whose vectorized
-``delivers_mask`` / ``crashes_mask`` surface is trivially fault-free in
-every fault mode — the dense adapter's capability flags skip their mask
+``delivers_mask`` / ``crashes_mask`` surface is trivially fault-free —
+the dense adapter's capability flags skip their mask
 builds entirely, so adversarial scenarios keep the fault-free hot path.
 """
 

@@ -19,23 +19,14 @@ Because every decision is a pure function of ``(fault_seed, round, where)``
 executors, which ``tests/scenarios/test_hook_equivalence.py`` property-
 tests.
 
-Fault coins come in two **fault modes**, mirroring the philox/replay split
-of :class:`~repro.utils.rng.CoinTable`:
-
-* ``fault_mode="replay"`` — coins from :func:`fault_u01`, built on the same
-  :func:`~repro.utils.rng.node_rng` machinery as the nodes' private coins
-  but under a disjoint ``"fault/..."`` salt namespace.  This is the
-  historical schedule the bit-identity property tests pin; evaluating one
-  coin costs a sha512-seeded ``random.Random`` (~9 µs), so large-n mask
-  builds pay an O(m) interpreter loop.
-* ``fault_mode="mask"`` — coins from :func:`fault_u01_mix`, a SplitMix64-
-  style integer mix over ``(fault_seed, salt_hash, entity, *key)``.  The
-  same chain vectorizes to one numpy kernel call per round
-  (:func:`fault_u01_array`), so a faulty dense round costs about as much
-  as a fault-free one.  Schedules are deterministic per seed and
-  distribution-identical to replay mode, but draw *different* values —
-  within one mode every executor still agrees bit-for-bit, because scalar
-  and array kernels share the mixing chain exactly.
+Fault coins come from one counter-based chain: :func:`fault_u01` folds
+``(fault_seed, salt_hash(label), entity, *key)`` through the SplitMix64
+finalizer of :mod:`repro.utils.rng` (the same chain the dense ``keyed``
+node coins use), and :func:`fault_u01_array` runs that chain as one numpy
+kernel call per round, so a faulty dense round costs about as much as a
+fault-free one.  Scalar and array forms agree bit-for-bit, so every
+executor — hooked reference, hooked engine, masked dense kernels — sees
+the same schedule.
 """
 
 from __future__ import annotations
@@ -45,13 +36,10 @@ from abc import ABC
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.local.network import Network, NodeView, RoundHooks
-from repro.utils.rng import node_rng
-from repro.utils.validation import require
+from repro.utils.rng import _MASK64, _SM_GAMMA, _TO_U01, _mix64_np, mix64
 
 __all__ = [
-    "FAULT_MODES",
     "fault_u01",
-    "fault_u01_mix",
     "fault_u01_array",
     "Perturbation",
     "BoundPerturbation",
@@ -62,41 +50,6 @@ __all__ = [
 ]
 
 Adjacency = List[List[int]]
-
-#: Supported fault-coin modes (see module docstring).
-FAULT_MODES = ("replay", "mask")
-
-
-def fault_u01(fault_seed: int, label: str, entity, *key) -> float:
-    """One deterministic uniform in ``[0, 1)`` per (seed, label, entity, key).
-
-    A pure function — repeated calls with the same arguments return the same
-    value, so the executors may evaluate fault decisions in any order (or
-    several times) without diverging.  Built on :func:`node_rng` with a
-    ``fault/``-prefixed salt, keeping fault coins independent of the node
-    coin streams ``{seed}/{uid}/`` that the algorithms consume.
-    """
-    salt = "fault/" + label
-    if key:
-        salt += "/" + "/".join(str(k) for k in key)
-    return node_rng(fault_seed, entity, salt=salt).random()
-
-
-# ---------------------------------------------------------------------------
-# Counter-based fault coins (fault_mode="mask").
-#
-# A SplitMix64-style finalizer folded over the key components.  The scalar
-# (:func:`fault_u01_mix`) and vectorized (:func:`fault_u01_array`) forms
-# share this chain bit-for-bit, so a hooked engine run consulting scalar
-# decisions and a dense run consuming whole-round mask arrays see the same
-# fault schedule.  Not cryptographic — just a well-avalanched keyed hash.
-# ---------------------------------------------------------------------------
-
-_MASK64 = (1 << 64) - 1
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_M1 = 0xBF58476D1CE4E5B9
-_SM_M2 = 0x94D049BB133111EB
-_TO_U01 = 2.0 ** -53
 
 _SALT_HASHES: dict = {}
 
@@ -110,67 +63,47 @@ def _salt_hash(label: str) -> int:
     return h
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer on python ints (mod 2^64)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _SM_M1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM_M2) & _MASK64
-    return z ^ (z >> 31)
+def fault_u01(fault_seed: int, label: str, entity: int, *key: int) -> float:
+    """One deterministic uniform in ``[0, 1)`` per (seed, label, entity, key).
 
-
-def fault_u01_mix(fault_seed: int, label: str, entity: int, *key: int) -> float:
-    """Counter-based uniform in ``[0, 1)`` — the ``"mask"``-mode coin.
-
-    Same contract as :func:`fault_u01` (pure function of its arguments,
-    order-insensitive) but built on integer mixing instead of sha512-seeded
-    generators, so it costs nanoseconds and vectorizes
-    (:func:`fault_u01_array` evaluates the identical chain on arrays).
-    ``entity`` and every ``key`` component must be integers.
+    A pure function — repeated calls with the same arguments return the same
+    value, so the executors may evaluate fault decisions in any order (or
+    several times) without diverging.  The ``label`` salt keeps fault coins
+    independent of the node coins the algorithms consume.  Not
+    cryptographic — just a well-avalanched keyed hash that costs
+    nanoseconds and vectorizes (:func:`fault_u01_array` evaluates the
+    identical chain on arrays).  ``entity`` and every ``key`` component
+    must be integers.
     """
-    h = _mix64((fault_seed & _MASK64) ^ _salt_hash(label))
-    h = _mix64((h + _SM_GAMMA) ^ (entity & _MASK64))
+    h = mix64((fault_seed & _MASK64) ^ _salt_hash(label))
+    h = mix64((h + _SM_GAMMA) ^ (entity & _MASK64))
     for k in key:
-        h = _mix64((h + _SM_GAMMA) ^ (k & _MASK64))
+        h = mix64((h + _SM_GAMMA) ^ (k & _MASK64))
     return (h >> 11) * _TO_U01
 
 
-def fault_u01_array(fault_seed: int, label: str, entity, *key, mode: str = "mask"):
+def fault_u01_array(fault_seed: int, label: str, entity, *key):
     """One uniform per element of ``entity`` (float64 numpy array).
 
-    ``mode="mask"`` runs the :func:`fault_u01_mix` chain as a vectorized
-    numpy kernel over ``(fault_seed, salt_hash(label), entity, *key)`` —
-    every component may be an int array (elementwise) or a scalar
-    (broadcast); elementwise results equal :func:`fault_u01_mix` bit-for-
-    bit.  ``mode="replay"`` instead reproduces today's scalar
-    :func:`fault_u01` values exactly, element by element — an O(len)
-    interpreter loop that exists for the bit-identity property tests and
-    the replay fallback, not for speed (entities/keys may be any objects
-    the scalar form accepts, e.g. string edge keys).
+    Runs the :func:`fault_u01` chain as a vectorized numpy kernel over
+    ``(fault_seed, salt_hash(label), entity, *key)`` — every component may
+    be an int array (elementwise) or a scalar (broadcast); elementwise
+    results equal :func:`fault_u01` bit-for-bit.
     """
     import numpy as np  # lazy: the pure-python scenario paths never need it
 
-    require(mode in FAULT_MODES, f"unknown fault coin mode {mode!r}")
-    if mode == "replay":
-        cols = [_as_column(c, len(entity)) for c in key]
-        return np.array(
-            [
-                fault_u01(fault_seed, label, e, *(c[i] for c in cols))
-                for i, e in enumerate(entity)
-            ],
-            dtype=np.float64,
-        )
     # Fold scalar components in python ints (numpy warns on uint64 scalar
     # overflow) and switch to wrapping uint64 array arithmetic at the first
     # array component; scalar folds before/after the switch stay bit-equal
-    # to :func:`fault_u01_mix` because both run the same chain mod 2^64.
-    h_int = _mix64((fault_seed & _MASK64) ^ _salt_hash(label))
+    # to :func:`fault_u01` because both run the same chain mod 2^64.
+    h_int = mix64((fault_seed & _MASK64) ^ _salt_hash(label))
     h = None
     for c in (entity, *key):
         if not isinstance(c, int) and np.ndim(c) == 0:
             c = int(c)
         if isinstance(c, int):
             if h is None:
-                h_int = _mix64((h_int + _SM_GAMMA) ^ (c & _MASK64))
+                h_int = mix64((h_int + _SM_GAMMA) ^ (c & _MASK64))
             else:
                 h = _mix64_np(np, (h + np.uint64(_SM_GAMMA)) ^ np.uint64(c & _MASK64))
             continue
@@ -184,13 +117,6 @@ def fault_u01_array(fault_seed: int, label: str, entity, *key, mode: str = "mask
     return (h >> np.uint64(11)) * _TO_U01
 
 
-def _as_column(c, n: int):
-    """Broadcast a replay-mode key component to ``n`` elements."""
-    if isinstance(c, (str, bytes, int, float)):
-        return [c] * n
-    return list(c)
-
-
 def _as_u64(np, x):
     """Coerce an int scalar or array to uint64 (two's-complement wrap)."""
     if isinstance(x, int):
@@ -199,13 +125,6 @@ def _as_u64(np, x):
     if a.dtype != np.uint64:
         a = a.astype(np.int64, copy=False).astype(np.uint64)
     return a
-
-
-def _mix64_np(np, z):
-    """SplitMix64 finalizer on uint64 arrays (wrapping multiply)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_M2)
-    return z ^ (z >> np.uint64(31))
 
 
 class BoundPerturbation:
@@ -278,9 +197,8 @@ class BoundPerturbation:
         coordinates; returns a bool array of the same length (True =
         delivered), ``None`` for "everything delivered this round", or
         ``NotImplemented`` to request the scalar fallback.  Must agree
-        elementwise with :meth:`delivers` — in ``"replay"`` fault mode that
-        pins it to the historical :func:`fault_u01` schedule, in ``"mask"``
-        mode both sides consult the same :func:`fault_u01_mix` chain.
+        elementwise with :meth:`delivers` — both sides consult the same
+        :func:`fault_u01` chain.
         """
         return NotImplemented
 
@@ -298,18 +216,8 @@ class Perturbation(ABC):
         """Graph-level transform applied before the network is built."""
         return adjacency, ids
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> BoundPerturbation:
-        """Bind the per-round fault schedule to a concrete network.
-
-        ``fault_mode`` selects the coin kernel: ``"replay"`` (the
-        historical :func:`fault_u01` schedule, bit-identity tested) or
-        ``"mask"`` (the vectorizable :func:`fault_u01_mix` schedule —
-        distribution-identical, cheap at scale).  Perturbations without
-        runtime coins (graph rewrites, degree-ranked victim sets) bind
-        identically in both modes.
-        """
+    def bind(self, network: Network, fault_seed: int) -> BoundPerturbation:
+        """Bind the per-round fault schedule to a concrete network."""
         return BoundPerturbation()
 
 
@@ -330,11 +238,9 @@ def bind_all(
     perturbations: Sequence[Perturbation],
     network: Network,
     fault_seed: int,
-    fault_mode: str = "replay",
 ) -> Tuple[BoundPerturbation, ...]:
-    """Bind every perturbation to one ``(network, fault_seed, mode)``."""
-    require(fault_mode in FAULT_MODES, f"unknown fault_mode {fault_mode!r}")
-    return tuple(p.bind(network, fault_seed, fault_mode) for p in perturbations)
+    """Bind every perturbation to one ``(network, fault_seed)`` pair."""
+    return tuple(p.bind(network, fault_seed) for p in perturbations)
 
 
 def quiet_after(bound: Sequence[BoundPerturbation]) -> Optional[int]:

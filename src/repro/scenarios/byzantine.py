@@ -11,10 +11,9 @@ Two harder fault families than the IID models in :mod:`repro.scenarios.faults`:
 * :class:`CorruptMessages` — a Byzantine channel adversary: each delivered
   message is independently rewritten with probability ``p`` during the
   active window.  The *decision* (which slots are corrupted) runs on the
-  counter-based :func:`~repro.scenarios.base.fault_u01_array` kernels with
-  a replay mode, exactly like drops, so mask-mode corruption schedules
-  stay vectorized and bit-identical across the hooked executors and the
-  dense kernels.  The *rewrite* (:func:`corrupt_payload`) is one pure
+  counter-based :func:`~repro.scenarios.base.fault_u01_array` kernels,
+  exactly like drops, so corruption schedules stay vectorized and
+  bit-identical across the hooked executors and the dense kernels.  The *rewrite* (:func:`corrupt_payload`) is one pure
   payload function covering the three shipped pipelines' vocabularies —
   forged Luby priorities, flipped join/stay and flip/ok bits, flipped
   proposal coins and splitting colors — which the dense kernels mirror as
@@ -33,7 +32,6 @@ from repro.scenarios.base import (
     Perturbation,
     fault_u01,
     fault_u01_array,
-    fault_u01_mix,
 )
 from repro.scenarios.faults import _BoundCrash
 from repro.utils.validation import require
@@ -82,10 +80,10 @@ class CorrelatedCrash(Perturbation):
     met).  ``mode="shard"`` crashes one contiguous ``count``-sized
     node-range block — the node-aligned failure domain of a sharded
     worker — picked by a single fault coin.  Selection happens at bind
-    time under the bound ``fault_mode`` (one ``fault_u01_array`` kernel
-    call in mask mode), and the bound schedule is the same vectorized
-    :class:`~repro.scenarios.faults._BoundCrash` that :class:`CrashNodes`
-    uses, so ``quiet_after``/steady-mask reuse apply unchanged.
+    time (one ``fault_u01_array`` kernel call), and the bound schedule is
+    the same vectorized :class:`~repro.scenarios.faults._BoundCrash` that
+    :class:`CrashNodes` uses, so ``quiet_after``/steady-mask reuse apply
+    unchanged.
     """
 
     def __init__(self, fraction: float = 0.15, at_round: int = 3, mode: str = "ball"):
@@ -96,9 +94,7 @@ class CorrelatedCrash(Perturbation):
         self.at_round = at_round
         self.mode = mode
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> _BoundCrash:
+    def bind(self, network: Network, fault_seed: int) -> _BoundCrash:
         n = network.n
         count = int(round(self.fraction * n))
         if self.fraction > 0 and n > 0:
@@ -107,10 +103,7 @@ class CorrelatedCrash(Perturbation):
         if count == 0:
             return _BoundCrash((), self.at_round)
         if self.mode == "shard":
-            if fault_mode == "mask":
-                u = fault_u01_mix(fault_seed, "crash-shard", 0)
-            else:
-                u = fault_u01(fault_seed, "crash-shard", 0)
+            u = fault_u01(fault_seed, "crash-shard", 0)
             blocks = (n + count - 1) // count
             start = min(int(u * blocks), blocks - 1) * count
             victims = range(start, min(start + count, n))
@@ -118,7 +111,7 @@ class CorrelatedCrash(Perturbation):
         import numpy as np  # lazy, like the fault-coin kernels
 
         ids = np.asarray(network.ids, dtype=np.int64)
-        u = fault_u01_array(fault_seed, "crash-ball", ids, mode=fault_mode)
+        u = fault_u01_array(fault_seed, "crash-ball", ids)
         centers = np.argsort(u, kind="stable")
         victims: list = []
         seen = set()
@@ -160,26 +153,22 @@ class CorruptMessages(Perturbation):
         self.from_round = from_round
         self.until_round = until_round
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundCorrupt":
+    def bind(self, network: Network, fault_seed: int) -> "_BoundCorrupt":
         return _BoundCorrupt(
-            network.ids, fault_seed, self.p, self.from_round, self.until_round,
-            fault_mode,
+            network.ids, fault_seed, self.p, self.from_round, self.until_round
         )
 
 
 class _BoundCorrupt(BoundPerturbation):
     corrupts_messages = True
 
-    def __init__(self, ids, fault_seed, p, from_round, until_round, fault_mode="replay"):
+    def __init__(self, ids, fault_seed, p, from_round, until_round):
         self.ids = ids
         self.fault_seed = fault_seed
         self.p = p
         self.from_round = from_round
         self.until_round = until_round
         self.quiet_after = until_round
-        self.fault_mode = fault_mode
         self._uid_arr = None
 
     def _quiet(self, round_no: int) -> bool:
@@ -190,12 +179,7 @@ class _BoundCorrupt(BoundPerturbation):
     def corrupts(self, round_no: int, sender: int, port: int) -> bool:
         if self._quiet(round_no):
             return False
-        if self.fault_mode == "mask":
-            u = fault_u01_mix(
-                self.fault_seed, "corrupt", self.ids[sender], round_no, port
-            )
-        else:
-            u = fault_u01(self.fault_seed, "corrupt", self.ids[sender], round_no, port)
+        u = fault_u01(self.fault_seed, "corrupt", self.ids[sender], round_no, port)
         return u < self.p
 
     def corrupts_mask(self, round_no: int, senders, ports):
@@ -206,8 +190,7 @@ class _BoundCorrupt(BoundPerturbation):
 
             self._uid_arr = np.asarray(self.ids, dtype=np.int64)
         u = fault_u01_array(
-            self.fault_seed, "corrupt", self._uid_arr[senders], round_no, ports,
-            mode=self.fault_mode,
+            self.fault_seed, "corrupt", self._uid_arr[senders], round_no, ports
         )
         return u < self.p
 

@@ -11,8 +11,7 @@ Three classic fault models from the distributed-computing literature:
   algorithms whose progress is carried by hubs.
 
 All schedules are deterministic functions of the bind-time ``fault_seed``
-and ``fault_mode`` (see :func:`~repro.scenarios.base.fault_u01` /
-:func:`~repro.scenarios.base.fault_u01_mix`), so a faulty run is exactly
+(see :func:`~repro.scenarios.base.fault_u01`), so a faulty run is exactly
 reproducible and bit-identical across executors.  Every bound class
 implements the vectorized ``delivers_mask`` / ``crashes_mask`` surface:
 i.i.d. drops collapse to one counter-based hash kernel call per round,
@@ -29,7 +28,6 @@ from repro.scenarios.base import (
     Perturbation,
     fault_u01,
     fault_u01_array,
-    fault_u01_mix,
 )
 from repro.utils.validation import require
 
@@ -43,13 +41,9 @@ class CrashNodes(Perturbation):
     ``fraction > 0``) is selected either uniformly (``select="random"``,
     keyed by fault coins on the node uids) or adversarially
     (``select="hubs"``: the highest-degree nodes go first).  Victim
-    selection happens once at bind time and follows the fault-coin mode:
-    ``fault_mode="mask"`` draws every node's selection coin in one
-    counter-based :func:`~repro.scenarios.base.fault_u01_array` kernel
-    call (no per-node RNG construction — the bind is O(n) numpy work, not
-    O(n) sha512 ``random.Random`` builds), while ``fault_mode="replay"``
-    reproduces the historical per-node :func:`fault_u01` selection
-    bit-for-bit.  ``select="hubs"`` is coin-free and mode-independent.
+    selection happens once at bind time: every node's selection coin comes
+    from one counter-based :func:`~repro.scenarios.base.fault_u01_array`
+    kernel call (O(n) numpy work).  ``select="hubs"`` is coin-free.
     """
 
     def __init__(self, fraction: float = 0.1, at_round: int = 3, select: str = "random"):
@@ -60,9 +54,7 @@ class CrashNodes(Perturbation):
         self.at_round = at_round
         self.select = select
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundCrash":
+    def bind(self, network: Network, fault_seed: int) -> "_BoundCrash":
         n = network.n
         count = int(round(self.fraction * n))
         if self.fraction > 0 and n > 0:
@@ -78,9 +70,7 @@ class CrashNodes(Perturbation):
             import numpy as np  # lazy, like the fault-coin kernels
 
             ids = np.asarray(network.ids, dtype=np.int64)
-            u = fault_u01_array(fault_seed, "crash", ids, mode=fault_mode)
-            # Stable argsort ties match the stable python sort the replay
-            # selection historically ran, so replay mode stays bit-compatible.
+            u = fault_u01_array(fault_seed, "crash", ids)
             victims = np.argsort(u, kind="stable")[:count].tolist()
         return _BoundCrash(tuple(sorted(int(v) for v in victims)), self.at_round)
 
@@ -130,26 +120,22 @@ class IIDMessageDrop(Perturbation):
         self.from_round = from_round
         self.until_round = until_round
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundIIDDrop":
+    def bind(self, network: Network, fault_seed: int) -> "_BoundIIDDrop":
         return _BoundIIDDrop(
-            network.ids, fault_seed, self.p, self.from_round, self.until_round,
-            fault_mode,
+            network.ids, fault_seed, self.p, self.from_round, self.until_round
         )
 
 
 class _BoundIIDDrop(BoundPerturbation):
     drops_messages = True
 
-    def __init__(self, ids, fault_seed, p, from_round, until_round, fault_mode="replay"):
+    def __init__(self, ids, fault_seed, p, from_round, until_round):
         self.ids = ids
         self.fault_seed = fault_seed
         self.p = p
         self.from_round = from_round
         self.until_round = until_round
         self.quiet_after = until_round
-        self.fault_mode = fault_mode
         self._uid_arr = None
 
     def _quiet(self, round_no: int) -> bool:
@@ -160,12 +146,7 @@ class _BoundIIDDrop(BoundPerturbation):
     def delivers(self, round_no: int, sender: int, port: int) -> bool:
         if self._quiet(round_no):
             return True
-        if self.fault_mode == "mask":
-            u = fault_u01_mix(
-                self.fault_seed, "drop", self.ids[sender], round_no, port
-            )
-        else:
-            u = fault_u01(self.fault_seed, "drop", self.ids[sender], round_no, port)
+        u = fault_u01(self.fault_seed, "drop", self.ids[sender], round_no, port)
         return u >= self.p
 
     def delivers_mask(self, round_no: int, senders, ports):
@@ -175,12 +156,10 @@ class _BoundIIDDrop(BoundPerturbation):
             import numpy as np
 
             self._uid_arr = np.asarray(self.ids, dtype=np.int64)
-        # One hash-kernel call for the whole round (replay mode falls back
-        # to the scalar chain internally, elementwise-identical to
-        # ``delivers``).
+        # One hash-kernel call for the whole round, elementwise-identical
+        # to ``delivers``.
         u = fault_u01_array(
-            self.fault_seed, "drop", self._uid_arr[senders], round_no, ports,
-            mode=self.fault_mode,
+            self.fault_seed, "drop", self._uid_arr[senders], round_no, ports
         )
         return u >= self.p
 
@@ -197,9 +176,7 @@ class MuteHubs(Perturbation):
         self.count = count
         self.until_round = until_round
 
-    def bind(
-        self, network: Network, fault_seed: int, fault_mode: str = "replay"
-    ) -> "_BoundMute":
+    def bind(self, network: Network, fault_seed: int) -> "_BoundMute":
         order = sorted(
             range(network.n),
             key=lambda i: (-len(network.adjacency[i]), -network.ids[i]),

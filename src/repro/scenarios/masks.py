@@ -5,8 +5,7 @@ array ops, so faults reach them as per-round *masks* instead of per-message
 hook calls: a boolean crash mask over nodes and boolean delivery masks over
 CSR slots.  :class:`DenseFaults` builds those masks from the stack's
 vectorized ``delivers_mask`` / ``crashes_mask`` decisions — one
-counter-based hash-kernel call per dropper per round in ``"mask"`` fault
-mode, the scalar-chain replay in ``"replay"`` mode — and falls back to a
+counter-based hash-kernel call per dropper per round — and falls back to a
 per-slot sweep of the pure scalar ``delivers`` for perturbations without a
 vectorized path, so any stack stays exactly equivalent to the hooked
 engine (property-tested in ``tests/scenarios/test_hook_equivalence.py``
@@ -79,8 +78,7 @@ class DenseFaults:
 
     Pass a cached :class:`SlotLayout` to amortize the O(m) coordinate
     build across seeds; the fault schedule itself comes from ``bound``
-    (whose fault mode was fixed at
-    :func:`~repro.scenarios.base.bind_all` time).
+    (fixed at :func:`~repro.scenarios.base.bind_all` time).
     """
 
     #: FIFO cap on cached per-round masks (never-settling stacks only need

@@ -520,7 +520,6 @@ def luby_mis_recovering(
     adjacency,
     perturbations=(),
     seed: int = 0,
-    fault_mode: str = "replay",
     method: str = "engine",
     coins="replay",
     max_rounds: int = 10_000,
@@ -543,7 +542,7 @@ def luby_mis_recovering(
 
     require(method in ("engine", "dense"), f"unknown method {method!r}")
     engine = _build_engine(adjacency, engine)
-    bound = bind_all(perturbations, engine.network, seed, fault_mode)
+    bound = bind_all(perturbations, engine.network, seed)
     if method == "dense":
         from repro.local.dense import luby_mis_dense
 
@@ -577,7 +576,6 @@ def sinkless_recovering(
     perturbations=(),
     min_degree: int = 1,
     seed: int = 0,
-    fault_mode: str = "replay",
     method: str = "engine",
     coins="replay",
     max_rounds: int = 400,
@@ -602,7 +600,7 @@ def sinkless_recovering(
     require(method in ("engine", "dense"), f"unknown method {method!r}")
     engine = _build_engine(adjacency, engine)
     network = engine.network
-    bound = bind_all(perturbations, network, seed, fault_mode)
+    bound = bind_all(perturbations, network, seed)
     if method == "dense":
         from repro.local.dense import sinkless_trial_dense
 
@@ -652,7 +650,6 @@ def splitting_recovering(
     spec,
     perturbations=(),
     seed: int = 0,
-    fault_mode: str = "replay",
     method: str = "engine",
     coins="replay",
     max_attempts: int = 64,
@@ -685,7 +682,7 @@ def splitting_recovering(
     attempts = 0
     for attempts in range(1, max_attempts + 1):
         run_seed = rng.randrange(2**31)
-        attempt_bound = bind_all(perturbations, network, run_seed, fault_mode)
+        attempt_bound = bind_all(perturbations, network, run_seed)
         if method == "dense":
             from repro.local.dense import uniform_splitting_dense
 

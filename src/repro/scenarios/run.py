@@ -19,11 +19,8 @@ runner (:mod:`repro.exp`) records straight into the BENCH json:
 
 Fault coins and node coins both derive from the trial ``seed`` but under
 disjoint salt namespaces, so one seed axis drives the whole trial
-reproducibly (see :func:`~repro.scenarios.base.fault_u01`).  The
-``fault_mode`` knob selects the coin kernel — ``"replay"`` (historical,
-bit-identity tested) or ``"mask"`` (counter-based, vectorized — the
-performance mode for large-n dense sweeps); within either mode all
-backends agree on the schedule.
+reproducibly (see :func:`~repro.scenarios.base.fault_u01`); all backends
+agree on the fault schedule.
 
 Scenario cells are amortized like the :func:`~repro.exp.workloads.scenario_engine`
 cache: the built graph, packed engine and dense slot layout for one
@@ -121,9 +118,8 @@ def run_scenario(
     backend: str = "engine",
     adjacency=None,
     max_rounds: Optional[int] = None,
-    coins: str = "philox",
+    coins: str = "keyed",
     max_attempts: int = 64,
-    fault_mode: str = "replay",
     tracer=None,
     recover: bool = False,
     return_state: bool = False,
@@ -134,14 +130,9 @@ def run_scenario(
     ``backend`` one of the scenario's supported executors (``reference`` —
     hooked :func:`run_local`, ``engine`` — hooked :class:`CSREngine`,
     ``dense`` — masked numpy kernels; ``coins`` selects the dense coin
-    table, ``"replay"`` for engine-bit-identical runs).  ``fault_mode``
-    selects the fault-coin kernel: ``"replay"`` reproduces the historical
-    scalar schedule exactly (the bit-identity mode), ``"mask"`` uses the
-    counter-based vectorized kernel — distribution-identical and cheap at
-    large n, still bit-identical *across backends* for one mode.
-    ``adjacency`` overrides the default scenario graph (the perturbation
-    stack's graph rewrites are still applied on top; such runs bypass the
-    cell cache).  ``seed`` drives both the algorithm's coins and the fault
+    table, ``"replay"`` for engine-bit-identical runs).  ``adjacency``
+    overrides the default scenario graph (the perturbation stack's graph
+    rewrites are still applied on top; such runs bypass the cell cache).  ``seed`` drives both the algorithm's coins and the fault
     schedule; ``graph_seed`` only the topology.  ``max_rounds`` defaults
     per pipeline: 10_000 (luby), 400 (sinkless — every round pays an
     O(n + m) probe, and a run that has not recovered by then is recorded
@@ -199,7 +190,7 @@ def run_scenario(
         )
         setup_seconds = time.perf_counter() - setup_start
 
-    bound = bind_all(sc.perturbations, network, fault_seed=seed, fault_mode=fault_mode)
+    bound = bind_all(sc.perturbations, network, fault_seed=seed)
     quiet = quiet_after(bound)
 
     solve_start = time.perf_counter()
@@ -216,7 +207,7 @@ def run_scenario(
     else:
         metrics, state = _run_splitting(
             sc, network, engine, backend, seed, degree, coins, max_attempts,
-            fault_mode, layout, tracer=tracer, recover=recover,
+            layout, tracer=tracer, recover=recover,
         )
     metrics["solve_seconds"] = time.perf_counter() - solve_start
 
@@ -491,7 +482,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
 
 
 def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attempts,
-                   fault_mode="replay", layout=None, tracer=None, recover=False):
+                   layout=None, tracer=None, recover=False):
     adjacency = network.adjacency
     spec = UniformSplittingSpec(eps=sc.eps, min_constrained_degree=max(2, degree // 2))
     rng = ensure_rng(seed)
@@ -509,9 +500,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
         # schedule rebinds on the attempt's own seed — otherwise a lossy
         # environment would replay the identical drop pattern against all
         # retries (a frozen adversary instead of an i.i.d. channel).
-        attempt_bound = bind_all(
-            sc.perturbations, network, fault_seed=run_seed, fault_mode=fault_mode
-        )
+        attempt_bound = bind_all(sc.perturbations, network, fault_seed=run_seed)
         if backend == "dense":
             result = uniform_splitting_dense(
                 engine, spec, seed=run_seed, coins=coins,

@@ -26,8 +26,8 @@ __all__ = [
 
 SeedLike = Union[None, int, random.Random]
 
-# SplitMix64 mixing chain (same constants as the fault-coin kernels in
-# repro.scenarios.base — the repo-wide counter-based hash idiom).
+# SplitMix64 mixing chain — the repo-wide counter-based hash idiom, shared
+# by the keyed node coins below and the fault coins of repro.scenarios.base.
 _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_M1 = 0xBF58476D1CE4E5B9
@@ -117,16 +117,20 @@ class CoinTable:
     ``random.Random`` calls.  A :class:`CoinTable` abstracts where those
     arrays come from, with two contracts:
 
-    ``kind="philox"`` (default)
-        Coins are drawn from one numpy counter-based Philox stream keyed by
-        the master seed.  Setup is O(1) — no per-node generator objects —
-        which is the whole point at n >= 10^5, where building ``n``
-        sha512-seeded :func:`node_rng` instances (~9 µs each) would dominate
-        the run.  Runs are deterministic per seed and *distribution-identical*
-        to the engine (same independent-uniform law), but **not bit-identical**
-        to it: the values drawn depend on how many nodes are active each
-        phase, not on node identity.  Use for performance runs; validity is
-        covered by the statistical tests.
+    ``kind="keyed"`` (default)
+        Every value is a pure function of ``(master seed, counter, tag)``
+        via the SplitMix64 chain of :func:`keyed_u01` — no stream, no
+        consumption order, O(1) setup (building ``n`` sha512-seeded
+        :func:`node_rng` instances, ~9 µs each, would dominate a run at
+        n >= 10^5).  The ``tag`` argument the dense kernels pass (the round
+        number) becomes part of the key, so the *same* value is produced no
+        matter which call draws it, or whether it is drawn at all.  This is
+        the contract that makes trial-batched and sharded kernel runs
+        **bit-identical** to independent sequential runs: those kernels
+        recompute exactly these hashes at whatever (trial, node, round)
+        triples are still active.  Distribution-identical to the engine
+        (same independent-uniform law), but not bit-identical to it;
+        validity is covered by the statistical tests.
 
     ``kind="replay"``
         Coins are replayed from the exact per-node :func:`node_rng` streams
@@ -137,28 +141,16 @@ class CoinTable:
         Setup is O(n) — this mode exists for equivalence testing and exact
         cross-checks, not speed.
 
-    ``kind="keyed"``
-        Every value is a pure function of ``(master seed, counter, tag)``
-        via the SplitMix64 chain of :func:`keyed_u01` — no stream, no
-        consumption order, O(1) setup.  The ``tag`` argument the dense
-        kernels pass (the round number) becomes part of the key, so the
-        *same* value is produced no matter which call draws it, or whether
-        it is drawn at all.  This is the contract that makes a trial-batched
-        kernel run **bit-identical** to k independent sequential ``keyed``
-        runs: the batched kernels recompute exactly these hashes at
-        whatever (trial, node, round) triples are still active.
-        Distribution-identical to the other kinds, bit-identical to neither.
-
     Kernels must route *every* random decision through this table (uniform
     coins via :meth:`uniforms`/:meth:`uniform_runs`, port choices via
     :meth:`randints`) so the replay contract stays exact, and must pass
-    their round number as ``tag`` so the keyed contract stays pure (philox
-    and replay ignore the tag).
+    their round number as ``tag`` so the keyed contract stays pure (replay
+    ignores the tag).
     """
 
-    KINDS = ("philox", "replay", "keyed")
+    KINDS = ("keyed", "replay")
 
-    def __init__(self, seed: int, ids: Sequence[int], kind: str = "philox"):
+    def __init__(self, seed: int, ids: Sequence[int], kind: str = "keyed"):
         import numpy as np  # lazy: the pure-Python paths never need numpy
 
         if kind not in self.KINDS:
@@ -166,13 +158,9 @@ class CoinTable:
         self._np = np
         self.kind = kind
         self.seed = seed
-        self._gen = None
         self._streams = None
         self._seed_hash = None
-        if kind == "philox":
-            # Counter-based bit generator: O(1) setup regardless of n.
-            self._gen = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
-        elif kind == "replay":
+        if kind == "replay":
             self._streams = [node_rng(seed, uid) for uid in ids]
         else:
             self._seed_hash = mix64(seed)
@@ -181,16 +169,13 @@ class CoinTable:
         """One uniform in [0, 1) per node index in ``idx`` (float64 array).
 
         In replay mode the value for node ``i`` is the next ``random()`` of
-        that node's own stream; in philox mode values come off the shared
-        counter stream in order; in keyed mode the value is the pure hash
-        of ``(seed, i, tag)``.
+        that node's own stream; in keyed mode it is the pure hash of
+        ``(seed, i, tag)``.
         """
         np = self._np
         idx = np.asarray(idx, dtype=np.int64)
         if self._seed_hash is not None:
             return keyed_u01(np, self._seed_hash, idx, tag)
-        if self._gen is not None:
-            return self._gen.random(idx.shape[0])
         streams = self._streams
         return np.array([streams[i].random() for i in idx], dtype=np.float64)
 
@@ -209,8 +194,6 @@ class CoinTable:
         total = int(counts.sum())
         if self._seed_hash is not None:
             return keyed_u01(np, self._seed_hash, np.arange(total, dtype=np.int64), tag)
-        if self._gen is not None:
-            return self._gen.random(total)
         out = np.empty(total, dtype=np.float64)
         k = 0
         streams = self._streams
@@ -225,17 +208,15 @@ class CoinTable:
         """One integer in ``[0, bounds[k])`` per node index in ``idx``.
 
         Replay mode calls each node's ``randrange`` (bit-identical to the
-        engine's port choice); philox and keyed modes map uniforms through
-        ``floor`` (the float rounding bias at these bound sizes is < 2^-40 —
-        far below anything the statistical tests can see).
+        engine's port choice); keyed mode maps uniforms through ``floor``
+        (the float rounding bias at these bound sizes is < 2^-40 — far
+        below anything the statistical tests can see).
         """
         np = self._np
         idx = np.asarray(idx, dtype=np.int64)
         bounds = np.asarray(bounds, dtype=np.int64)
         if self._seed_hash is not None:
             return (keyed_u01(np, self._seed_hash, idx, tag) * bounds).astype(np.int64)
-        if self._gen is not None:
-            return (self._gen.random(idx.shape[0]) * bounds).astype(np.int64)
         streams = self._streams
         return np.array(
             [streams[i].randrange(b) for i, b in zip(idx, bounds)], dtype=np.int64

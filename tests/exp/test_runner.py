@@ -309,7 +309,7 @@ class TestWorkloads:
 
     def test_backend_axis_same_scenario(self):
         # All backends see the same fixed scenario graph; engine and
-        # reference are bit-identical, dense (philox) is valid on it.
+        # reference are bit-identical, dense (keyed) is valid on it.
         kwargs = dict(topology="sparse", n=150, degree=5, graph_seed=77)
         ref = luby_mis_workload(seed=3, backend="reference", **kwargs)
         eng = luby_mis_workload(seed=3, backend="engine", **kwargs)

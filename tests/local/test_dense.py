@@ -1,4 +1,4 @@
-"""Dense-backend tests: replay bit-identity and philox statistical validity.
+"""Dense-backend tests: replay bit-identity and keyed statistical validity.
 
 Two contracts from ``repro/local/dense.py``:
 
@@ -6,10 +6,10 @@ Two contracts from ``repro/local/dense.py``:
   CSR engine (itself bit-identical to ``run_local``) — same outputs and
   round counts for any graph and seed; property-tested here on random
   graphs at n <= 200 across seeds;
-* with ``coins="philox"`` runs are **distribution-identical**: every
-  output must satisfy the algorithm's validity predicate (independence +
-  maximality, sinklessness, splitting discrepancy bounds), checked across
-  many seeds.
+* with the default ``coins="keyed"`` runs are **distribution-identical**:
+  every output must satisfy the algorithm's validity predicate
+  (independence + maximality, sinklessness, splitting discrepancy bounds),
+  checked across many seeds.
 """
 
 import random
@@ -220,7 +220,7 @@ class TestSplittingReplayBitIdentity:
             assert dense.rounds == result.rounds == 1
 
 
-class TestPhiloxStatisticalValidity:
+class TestKeyedStatisticalValidity:
     """Counter-based coins: outputs must satisfy the validity predicates."""
 
     def test_mis_independence_and_maximality(self):
@@ -228,7 +228,7 @@ class TestPhiloxStatisticalValidity:
             adj = random_sparse_graph(300, 6, seed=trial)
             engine = CSREngine(Network(adj))
             for seed in range(8):
-                dense = luby_mis_dense(engine, seed=seed, coins="philox")
+                dense = luby_mis_dense(engine, seed=seed)
                 assert dense.completed
                 assert is_mis(adj, {int(i) for i in dense.in_mis.nonzero()[0]})
 
@@ -237,7 +237,7 @@ class TestPhiloxStatisticalValidity:
             adj = configuration_model_regular(120, 3, seed=trial)
             engine = CSREngine(Network(adj))
             for seed in range(6):
-                dense = sinkless_trial_dense(engine, min_degree=3, seed=seed, coins="philox")
+                dense = sinkless_trial_dense(engine, min_degree=3, seed=seed)
                 orientation = dense_orientation(engine, dense.out)
                 assert is_sinkless(adj, orientation, min_degree=3)
                 assert dense.rounds >= 2
@@ -250,7 +250,7 @@ class TestPhiloxStatisticalValidity:
         red_fractions = []
         for seed in range(50):
             partition = uniform_splitting(
-                adj, spec, method="dense", seed=seed, coins="philox", engine=engine
+                adj, spec, method="dense", seed=seed, engine=engine
             )
             assert not uniform_splitting_violations(adj, partition, spec)
             red_fractions.append(partition.count(0) / n)
@@ -259,11 +259,11 @@ class TestPhiloxStatisticalValidity:
         assert abs(mean - 0.5) < 0.05
         assert min(red_fractions) > 0.35 and max(red_fractions) < 0.65
 
-    def test_philox_luby_rounds_logarithmic(self):
+    def test_keyed_luby_rounds_logarithmic(self):
         # O(log n) w.h.p.: generous cap, but it must not blow up.
         adj = random_sparse_graph(2000, 10, seed=1)
         engine = CSREngine(Network(adj))
-        dense = luby_mis_dense(engine, seed=0, coins="philox")
+        dense = luby_mis_dense(engine, seed=0)
         assert dense.completed and dense.rounds <= 40
 
 

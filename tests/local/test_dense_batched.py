@@ -7,7 +7,7 @@ records — to ``k`` independent sequential ``coins="keyed"`` runs of the
 same kernel, because every coin is a pure hash of ``(seed, counter,
 round)`` and the batched kernels recompute exactly those hashes at
 whatever (trial, node, round) triples are still active.  Property-tested
-on random graphs, including a mask-mode faulty scenario, ragged
+on random graphs, including a faulty scenario, ragged
 termination, and mid-phase ``max_rounds`` caps.
 """
 
@@ -101,7 +101,7 @@ class TestLubyBatchedFaulty:
     def test_mask_mode_scenario_identical(self):
         engine = sparse_engine(n=250, deg=6, gseed=5)
         perts = [CrashNodes(fraction=0.05, at_round=3), IIDMessageDrop(p=0.08)]
-        bound = bind_all(perts, engine.network, fault_seed=99, fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=99)
         faults = DenseFaults(engine, bound)
         batch = luby_mis_batched(engine, SEEDS, faults=faults)
         assert_luby_identical(engine, SEEDS, batch, faults=faults)
@@ -109,7 +109,7 @@ class TestLubyBatchedFaulty:
     def test_faulty_mid_phase_caps(self):
         engine = sparse_engine(n=150, deg=5, gseed=9)
         perts = [CrashNodes(fraction=0.06, at_round=2), IIDMessageDrop(p=0.1)]
-        bound = bind_all(perts, engine.network, fault_seed=4, fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=4)
         faults = DenseFaults(engine, bound)
         for cap in (1, 2, 3, 4, 5):
             batch = luby_mis_batched(engine, SEEDS, faults=faults, max_rounds=cap)
@@ -131,7 +131,7 @@ class TestSinklessBatchedBitIdentity:
     def test_mask_mode_scenario_identical(self):
         engine = regular_engine()
         perts = [CrashNodes(fraction=0.04, at_round=2), IIDMessageDrop(p=0.05)]
-        bound = bind_all(perts, engine.network, fault_seed=17, fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=17)
         faults = DenseFaults(engine, bound)
         batch = sinkless_trial_batched(
             engine, SEEDS, min_degree=3, faults=faults, strict=False
@@ -189,7 +189,7 @@ class TestSplittingBatchedBitIdentity:
         engine = CSREngine(Network(configuration_model_regular(200, 16, seed=3)))
         spec = UniformSplittingSpec(eps=0.3, min_constrained_degree=8)
         perts = [CrashNodes(fraction=0.05, at_round=1), IIDMessageDrop(p=0.05)]
-        bound = bind_all(perts, engine.network, fault_seed=23, fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=23)
         faults = DenseFaults(engine, bound)
         batch = uniform_splitting_batched(engine, spec, SEEDS, faults=faults)
         for t, s in enumerate(SEEDS):
@@ -240,9 +240,8 @@ class TestKeyedCoinTable:
         again = table.uniform_runs(np.array([0, 1, 2]), counts, tag=1)
         assert np.array_equal(full, again)
 
-    def test_philox_and_replay_ignore_tag(self):
+    def test_replay_ignores_tag(self):
         idx = np.arange(8, dtype=np.int64)
-        for kind in ("philox", "replay"):
-            a = CoinTable(1, range(8), kind=kind).uniforms(idx, tag=1)
-            b = CoinTable(1, range(8), kind=kind).uniforms(idx, tag=9)
-            assert np.array_equal(a, b)
+        a = CoinTable(1, range(8), kind="replay").uniforms(idx, tag=1)
+        b = CoinTable(1, range(8), kind="replay").uniforms(idx, tag=9)
+        assert np.array_equal(a, b)

@@ -102,8 +102,7 @@ class TestFaultyBitIdentity:
             IIDMessageDrop(p=0.15, from_round=1, until_round=4),
             MuteHubs(),
         )
-        bound = bind_all(perts, engine.network, fault_seed=fault_seed,
-                         fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=fault_seed)
         return DenseFaults(engine, bound)
 
     def test_luby_under_fault_stack(self):
@@ -120,7 +119,7 @@ class TestFaultyBitIdentity:
     def test_sinkless_under_drops(self):
         engine = engine_of(random_regular_graph(60, 4, seed=7))
         faults = (IIDMessageDrop(p=0.1, from_round=1, until_round=3),)
-        bound = bind_all(faults, engine.network, fault_seed=3, fault_mode="mask")
+        bound = bind_all(faults, engine.network, fault_seed=3)
         reference = sinkless_trial_dense(
             engine, min_degree=2, seed=1, coins="keyed",
             faults=DenseFaults(engine, bound),
@@ -138,7 +137,7 @@ class TestFaultyBitIdentity:
         engine = engine_of(random_sparse_graph(200, 24, seed=8))
         spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=8)
         perts = (CrashNodes(fraction=0.05, at_round=1),)
-        bound = bind_all(perts, engine.network, fault_seed=5, fault_mode="mask")
+        bound = bind_all(perts, engine.network, fault_seed=5)
         result = uniform_splitting_sharded(
             engine, spec, seed=3, shards=2, workers=0,
             faults=DenseFaults(engine, bound),
@@ -310,3 +309,64 @@ class TestPipelineDispatch:
         colors = uniform_splitting(adj, spec, seed=1, method="dense-sharded",
                                    shards=2)
         assert len(colors) == 200 and set(colors) <= {0, 1}
+
+
+class TestDefaultCoinsAgreeAcrossDenseMethods:
+    """With no ``coins=`` argument, ``method="dense"`` draws the keyed coins
+    that ``dense-batched`` and ``dense-sharded`` reproduce, seed by seed."""
+
+    SEEDS = [0, 1, 2]
+
+    def test_luby_mis(self):
+        from repro.mis.luby import luby_mis
+
+        adj = random_sparse_graph(150, 8, seed=31)
+        engine = engine_of(adj)
+        dense = [luby_mis(adj, seed=s, method="dense", engine=engine) for s in self.SEEDS]
+        batched = luby_mis(adj, seed=self.SEEDS, method="dense-batched", engine=engine)
+        with ShardedExecutor(engine, 2, workers=0) as ex:
+            sharded = [
+                luby_mis(adj, seed=s, method="dense-sharded", engine=engine, executor=ex)
+                for s in self.SEEDS
+            ]
+        assert batched == dense
+        assert sharded == dense
+
+    def test_trial_and_fix(self):
+        from repro.orientation.sinkless import run_trial_and_fix
+
+        adj = random_regular_graph(60, 4, seed=32)
+        engine = engine_of(adj)
+        kw = {"min_degree": 3, "engine": engine}
+        dense = [run_trial_and_fix(adj, seed=s, method="dense", **kw) for s in self.SEEDS]
+        batched = run_trial_and_fix(adj, seed=self.SEEDS, method="dense-batched", **kw)
+        with ShardedExecutor(engine, 2, workers=0) as ex:
+            sharded = [
+                run_trial_and_fix(adj, seed=s, method="dense-sharded", executor=ex, **kw)
+                for s in self.SEEDS
+            ]
+        assert batched == dense
+        assert sharded == dense
+
+    def test_uniform_splitting(self):
+        from repro.apps.splitting import uniform_splitting
+
+        adj = random_sparse_graph(200, 24, seed=33)
+        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=8)
+        engine = engine_of(adj)
+        dense = [
+            uniform_splitting(adj, spec, seed=s, method="dense", engine=engine)
+            for s in self.SEEDS
+        ]
+        batched = uniform_splitting(
+            adj, spec, seed=self.SEEDS, method="dense-batched", engine=engine
+        )
+        with ShardedExecutor(engine, 2, workers=0) as ex:
+            sharded = [
+                uniform_splitting(
+                    adj, spec, seed=s, method="dense-sharded", engine=engine, executor=ex
+                )
+                for s in self.SEEDS
+            ]
+        assert batched == dense
+        assert sharded == dense

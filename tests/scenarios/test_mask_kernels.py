@@ -2,20 +2,18 @@
 
 Three layers of guarantees:
 
-* **coin kernels** — ``fault_u01_array(mode="replay")`` reproduces the
-  scalar :func:`fault_u01` values exactly, and ``mode="mask"`` matches the
-  scalar :func:`fault_u01_mix` chain bit-for-bit (scalar and vectorized
-  executors may interleave decisions in any order);
-* **mask surface** — for every registered scenario and both fault modes,
-  the :class:`DenseFaults` masks equal a per-slot scalar sweep of the pure
-  ``delivers`` / ``crashes`` decisions (in replay mode that pins the
-  historical schedule the hook-equivalence tests compare against), and
+* **coin kernels** — :func:`fault_u01_array` matches the scalar
+  :func:`fault_u01` chain bit-for-bit (scalar and vectorized executors may
+  interleave decisions in any order);
+* **mask surface** — for every registered scenario, the
+  :class:`DenseFaults` masks equal a per-slot scalar sweep of the pure
+  ``delivers`` / ``crashes`` decisions the hooked executors consult, and
   ``delivered_in`` is the partner-gather of ``delivered_out``;
 * **lifecycle** — rounds past the quiet horizon reuse one steady-state
   mask (persistent deletions stay down, healed stacks return ``None``),
-  never-settling stacks keep a bounded cache, and in mask fault mode the
-  hooked engine and the replay-coin dense kernel still agree bit-for-bit
-  because scalar and vectorized decisions share one mixing chain.
+  never-settling stacks keep a bounded cache, and the hooked engine and
+  the replay-coin dense kernel agree bit-for-bit because scalar and
+  vectorized decisions share one mixing chain.
 """
 
 import random
@@ -36,7 +34,6 @@ from repro.scenarios import (
     bind_all,
     fault_u01,
     fault_u01_array,
-    fault_u01_mix,
     rewrite_all,
     run_scenario,
 )
@@ -55,41 +52,29 @@ def small_graph(seed, n=24, edges=70):
 
 
 class TestCoinKernels:
-    def test_replay_mode_reproduces_scalar_fault_u01(self):
-        ids = list(range(40)) + ["7:9:0", "2:11:1"]  # int and string entities
-        got = fault_u01_array(13, "drop", ids, 5, mode="replay")
-        expect = [fault_u01(13, "drop", e, 5) for e in ids]
-        assert got.tolist() == expect
-
-    def test_mask_mode_matches_scalar_mix_chain(self):
+    def test_array_kernel_matches_scalar_chain(self):
         ent = np.arange(500, dtype=np.int64) * 7919
         ports = np.arange(500, dtype=np.int64) % 11
-        got = fault_u01_array(99, "churn", ent, ports, 3, mode="mask")
+        got = fault_u01_array(99, "churn", ent, ports, 3)
         expect = [
-            fault_u01_mix(99, "churn", int(e), int(p), 3)
+            fault_u01(99, "churn", int(e), int(p), 3)
             for e, p in zip(ent, ports)
         ]
         assert got.tolist() == expect
 
     def test_mask_coins_are_keyed_uniforms(self):
         ent = np.arange(20_000, dtype=np.int64)
-        u = fault_u01_array(1, "drop", ent, 1, mode="mask")
+        u = fault_u01_array(1, "drop", ent, 1)
         assert float(u.min()) >= 0.0 and float(u.max()) < 1.0
         assert abs(float(u.mean()) - 0.5) < 0.02  # 3.5 sigma at n=20k
         # Distinct along every key axis, identical on repetition.
-        v = fault_u01_array(1, "drop", ent, 2, mode="mask")
-        w = fault_u01_array(2, "drop", ent, 1, mode="mask")
-        x = fault_u01_array(1, "late", ent, 1, mode="mask")
+        v = fault_u01_array(1, "drop", ent, 2)
+        w = fault_u01_array(2, "drop", ent, 1)
+        x = fault_u01_array(1, "late", ent, 1)
         assert (u != v).mean() > 0.99
         assert (u != w).mean() > 0.99
         assert (u != x).mean() > 0.99
-        assert np.array_equal(u, fault_u01_array(1, "drop", ent, 1, mode="mask"))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            fault_u01_array(1, "drop", np.arange(3), mode="philox")
-        with pytest.raises(ValueError, match="fault_mode"):
-            bind_all((IIDMessageDrop(),), Network([[1], [0]]), 0, fault_mode="x")
+        assert np.array_equal(u, fault_u01_array(1, "drop", ent, 1))
 
 
 def scalar_delivered(bound, layout, round_no):
@@ -110,22 +95,21 @@ def scalar_crashed(bound, n, round_no):
 
 
 class TestMasksMatchScalarDecisions:
-    """DenseFaults masks == the per-slot scalar sweep, per scenario x mode."""
+    """DenseFaults masks == the per-slot scalar sweep, per scenario."""
 
     @pytest.mark.parametrize("sc", all_scenarios(), ids=lambda s: s.name)
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_registered_scenario_masks(self, sc, fault_mode):
+    def test_registered_scenario_masks(self, sc):
         adjacency, ids = rewrite_all(sc.perturbations, small_graph(hash(sc.name) % 997))
         net = Network(adjacency, ids=ids)
         engine = CSREngine(net)
         layout = SlotLayout(engine)
-        bound = bind_all(sc.perturbations, net, fault_seed=42, fault_mode=fault_mode)
+        bound = bind_all(sc.perturbations, net, fault_seed=42)
         faults = DenseFaults(engine, bound, layout=layout)
         for round_no in (1, 2, 3, 4, 5, 9, 40):
             out = faults.delivered_out(round_no)
             got = out if out is not None else np.ones(layout.out_sender.shape[0], bool)
             assert np.array_equal(got, scalar_delivered(bound, layout, round_no)), (
-                sc.name, fault_mode, round_no,
+                sc.name, round_no,
             )
             din = faults.delivered_in(round_no)
             if out is None:
@@ -140,7 +124,7 @@ class TestMasksMatchScalarDecisions:
         from repro.scenarios.base import BoundPerturbation, Perturbation
 
         class OddSlotDrop(Perturbation):
-            def bind(self, network, fault_seed, fault_mode="replay"):
+            def bind(self, network, fault_seed):
                 b = BoundPerturbation()
                 b.drops_messages = True
                 b.quiet_after = None
@@ -164,28 +148,27 @@ class TestQuietHorizon:
         adj = small_graph(5)
         net = Network(adj)
         engine = CSREngine(net)
-        for fault_mode in ("replay", "mask"):
-            bound = bind_all(
-                (CrashNodes(0.2, at_round=2), DropEdges(0.3, at_round=3)),
-                net, fault_seed=7, fault_mode=fault_mode,
-            )
-            faults = DenseFaults(engine, bound)
-            assert faults.quiet == 3
-            layout = faults.layout
-            # Deletions persist: the steady mask equals the scalar schedule
-            # at any later round, and the stack never "expires".
-            steady = faults.delivered_out(1000)
-            assert np.array_equal(steady, scalar_delivered(bound, layout, 1000))
-            assert steady is faults.delivered_out(2000)  # one build, reused
-            assert not faults.expired(100)
-            faults.delivered_in(500)
-            faults.crashed_at(500)
-            size = len(faults._cache)
-            for r in range(10, 400, 13):
-                faults.delivered_out(r)
-                faults.delivered_in(r)
-                faults.crashed_at(r)
-            assert len(faults._cache) == size
+        bound = bind_all(
+            (CrashNodes(0.2, at_round=2), DropEdges(0.3, at_round=3)),
+            net, fault_seed=7,
+        )
+        faults = DenseFaults(engine, bound)
+        assert faults.quiet == 3
+        layout = faults.layout
+        # Deletions persist: the steady mask equals the scalar schedule at
+        # any later round, and the stack never "expires".
+        steady = faults.delivered_out(1000)
+        assert np.array_equal(steady, scalar_delivered(bound, layout, 1000))
+        assert steady is faults.delivered_out(2000)  # one build, reused
+        assert not faults.expired(100)
+        faults.delivered_in(500)
+        faults.crashed_at(500)
+        size = len(faults._cache)
+        for r in range(10, 400, 13):
+            faults.delivered_out(r)
+            faults.delivered_in(r)
+            faults.crashed_at(r)
+        assert len(faults._cache) == size
 
     def test_healed_stack_expires(self):
         adj = small_graph(6)
@@ -251,8 +234,7 @@ def scalar_corrupted(bound, layout, round_no):
 class TestCorruptionMasks:
     """Byzantine corruption masks == the per-slot scalar sweep."""
 
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_corruption_masks_match_scalar_decisions(self, fault_mode):
+    def test_corruption_masks_match_scalar_decisions(self):
         from repro.scenarios import CorruptMessages
 
         net = Network(small_graph(21))
@@ -261,16 +243,16 @@ class TestCorruptionMasks:
         bound = bind_all(
             (CorruptMessages(p=0.3, from_round=2, until_round=5),
              CrashNodes(0.2, at_round=3)),
-            net, fault_seed=5, fault_mode=fault_mode,
+            net, fault_seed=5,
         )
         faults = DenseFaults(engine, bound, layout=layout)
         assert faults.corrupting
         for round_no in (1, 2, 3, 5, 6, 40):
             cout = faults.corrupted_out(round_no)
             got = cout if cout is not None else np.zeros(layout.partner.shape, bool)
-            assert np.array_equal(got, scalar_corrupted(bound, layout, round_no)), (
-                fault_mode, round_no,
-            )
+            assert np.array_equal(
+                got, scalar_corrupted(bound, layout, round_no)
+            ), round_no
             cin = faults.corrupted_in(round_no)
             if cout is None:
                 assert cin is None
@@ -307,10 +289,10 @@ class TestCorruptionMasks:
             assert len(faults._cache) <= DenseFaults.CACHE_MAX
 
 
-class TestMaskModeBackendAgreement:
-    """One fault mode => one schedule, bit-identical across executors."""
+class TestBackendAgreement:
+    """One fault schedule, bit-identical across executors."""
 
-    def test_hooked_engine_matches_dense_replay_coins_in_mask_mode(self):
+    def test_hooked_engine_matches_dense_replay_coins(self):
         rng = random.Random(11)
         for trial in range(8):
             adj = small_graph(rng.randrange(10_000), n=rng.randrange(4, 28))
@@ -321,7 +303,7 @@ class TestMaskModeBackendAgreement:
                 CrashNodes(0.2, at_round=rng.randrange(1, 4)),
                 IIDMessageDrop(0.3),
             )
-            bound = bind_all(perts, net, fault_seed=seed, fault_mode="mask")
+            bound = bind_all(perts, net, fault_seed=seed)
             eng = engine.run(LubyMIS(), max_rounds=40, seed=seed,
                              hooks=PerturbationHooks(bound))
             dense = luby_mis_dense(engine, seed=seed, coins="replay",
@@ -334,24 +316,14 @@ class TestMaskModeBackendAgreement:
                 bool(v.state.get("crashed")) for v in eng.views
             ]
 
-    def test_run_scenario_mask_mode_engine_matches_dense(self):
+    def test_run_scenario_engine_matches_dense(self):
         for name in ("luby/crash", "luby/drop-iid", "luby/edge-deletion"):
-            eng = run_scenario(name, n=150, seed=4, backend="engine",
-                               fault_mode="mask")
+            eng = run_scenario(name, n=150, seed=4, backend="engine")
             dense = run_scenario(name, n=150, seed=4, backend="dense",
-                                 coins="replay", fault_mode="mask")
+                                 coins="replay")
             for key in ("rounds", "completed", "violations", "survivors", "mis_size"):
                 if key in eng:
                     assert dense[key] == eng[key], (name, key)
-
-    def test_mask_and_replay_modes_differ_but_same_distribution_family(self):
-        # Same scenario, same seed: the two modes draw different drop
-        # schedules (counter-based vs sha512 streams) yet both are valid
-        # runs with full metric channels.
-        a = run_scenario("luby/drop-iid", n=200, seed=9, fault_mode="replay")
-        b = run_scenario("luby/drop-iid", n=200, seed=9, fault_mode="mask")
-        assert a["n"] == b["n"] and a["m"] == b["m"]
-        assert a["completed"] == 1 and b["completed"] == 1
 
 
 class TestScenarioCellCache:

@@ -4,7 +4,7 @@ Four layers of guarantees:
 
 * **bit-identity** — the ``*_recovering`` variants return identical
   ``(output, rounds, RepairResult)`` tuples on the hooked engine and the
-  masked dense kernels, in both fault modes, because the repair drivers
+  masked dense kernels, because the repair drivers
   run one shared vectorized implementation over end-state arrays both
   backends produce bit-identically;
 * **bounded truncation** — a ``max_rounds`` cap that lands mid-repair
@@ -90,17 +90,12 @@ def deterministic(metrics):
 class TestRecoveringVariantsBitIdentity:
     """engine vs dense: identical (output, rounds, RepairResult)."""
 
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_luby(self, fault_mode):
+    def test_luby(self):
         for trial in range(4):
             adj = random_graph(100 + trial)
-            eng = luby_mis_recovering(
-                adj, LUBY_STACK, seed=trial, fault_mode=fault_mode,
-                method="engine",
-            )
+            eng = luby_mis_recovering(adj, LUBY_STACK, seed=trial, method="engine")
             den = luby_mis_recovering(
-                adj, LUBY_STACK, seed=trial, fault_mode=fault_mode,
-                method="dense", coins="replay",
+                adj, LUBY_STACK, seed=trial, method="dense", coins="replay"
             )
             assert eng == den
             mis, rounds, rep = eng
@@ -108,32 +103,30 @@ class TestRecoveringVariantsBitIdentity:
             assert rep.last_round == rounds
             assert rep.recovered
 
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_sinkless(self, fault_mode):
+    def test_sinkless(self):
         adj = circulant(n=24, k=3)
         for seed in (0, 1, 2):
             eng = sinkless_recovering(
                 adj, SINKLESS_STACK, min_degree=3, seed=seed,
-                fault_mode=fault_mode, method="engine",
+                method="engine",
             )
             den = sinkless_recovering(
                 adj, SINKLESS_STACK, min_degree=3, seed=seed,
-                fault_mode=fault_mode, method="dense", coins="replay",
+                method="dense", coins="replay",
             )
             assert eng == den
             assert eng[2].recovered
 
-    @pytest.mark.parametrize("fault_mode", ["replay", "mask"])
-    def test_splitting(self, fault_mode):
+    def test_splitting(self):
         adj = circulant(n=30, k=4)
         for seed in (0, 1):
             eng = splitting_recovering(
                 adj, SPLITTING_SPEC, SPLITTING_STACK, seed=seed,
-                fault_mode=fault_mode, method="engine",
+                method="engine",
             )
             den = splitting_recovering(
                 adj, SPLITTING_SPEC, SPLITTING_STACK, seed=seed,
-                fault_mode=fault_mode, method="dense", coins="replay",
+                method="dense", coins="replay",
             )
             assert eng == den
             assert eng[2].recovered
@@ -196,6 +189,16 @@ class TestRunScenarioRecover:
         first = deterministic(per_backend[0][1])
         for backend, m in per_backend[1:]:
             assert deterministic(m) == first, (name, backend)
+
+    @pytest.mark.parametrize("name", RECOVERING_SCENARIOS)
+    def test_default_dense_coins_recover_to_zero_violations(self, name):
+        # The repair contract does not depend on the coin kind: the default
+        # keyed coins draw other schedules than replay, and still recover.
+        m = run_scenario(name, n=60, seed=5, backend="dense", recover=True)
+        assert m["violations"] == 0, name
+        assert m["recovered"] == 1, name
+        assert m["completed"] == 1, name
+        assert m["rounds"] >= m["repair_rounds"] >= 0
 
     def test_repair_rounds_fold_into_round_accounting(self):
         base = run_scenario("luby/byzantine", n=60, seed=5, backend="engine",

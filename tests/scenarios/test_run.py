@@ -59,6 +59,22 @@ class TestRunScenario:
     @pytest.mark.parametrize(
         "name", [s.name for s in all_scenarios() if "dense" in s.backends]
     )
+    def test_every_scenario_end_to_end_on_dense_default_coins(self, name):
+        # The default dense path: keyed node coins and the one fault chain.
+        metrics = run_scenario(name, n=200, seed=3, backend="dense")
+        assert REQUIRED_METRICS <= set(metrics)
+        assert metrics["survivors"] + metrics["crashed_nodes"] == metrics["n"]
+        assert metrics["violations"] >= 0
+        if get_scenario(name).strict:
+            assert metrics["violations"] == 0 and metrics["completed"] == 1
+        again = run_scenario(name, n=200, seed=3, backend="dense")
+        assert {k: v for k, v in again.items() if not k.endswith("_seconds")} == {
+            k: v for k, v in metrics.items() if not k.endswith("_seconds")
+        }
+
+    @pytest.mark.parametrize(
+        "name", [s.name for s in all_scenarios() if "dense" in s.backends]
+    )
     def test_dense_replay_matches_engine(self, name):
         engine_metrics = run_scenario(name, n=150, seed=5, backend="engine")
         dense_metrics = run_scenario(name, n=150, seed=5, backend="dense",
@@ -233,12 +249,5 @@ class TestExpIntegration:
         explicit = mod.build_scenario_specs(False, 3, "luby/crash", ("engine",))
         assert [c.name for c in explicit] == ["scenario/luby/crash@engine"]
         assert explicit[0].seeds == (0, 1, 2)
-        assert explicit[0].params["fault_mode"] == "replay"  # default knob
-        masked = mod.build_scenario_specs(True, 1, "luby/crash", ("dense",),
-                                          fault_mode="mask")
-        assert masked[0].params["fault_mode"] == "mask"
         with pytest.raises(ValueError):
             mod.build_scenario_specs(True, 1, "luby/typo", ("engine",))
-        with pytest.raises(ValueError, match="fault mode"):
-            mod.build_scenario_specs(True, 1, "luby/crash", ("engine",),
-                                     fault_mode="philox")

@@ -52,7 +52,7 @@ class TestSpawn:
 
 
 class TestCoinTable:
-    """The dense backend's coin supply: replay exactness + philox contract."""
+    """The dense backend's coin supply: replay exactness + keyed contract."""
 
     IDS = [10, 11, 12, 13, 14]
 
@@ -82,7 +82,7 @@ class TestCoinTable:
         out = table.randints([0, 4], [5, 3])
         assert list(out) == [node_rng(9, 10).randrange(5), node_rng(9, 14).randrange(3)]
 
-    def test_philox_deterministic_per_seed(self):
+    def test_keyed_deterministic_per_seed(self):
         pytest.importorskip("numpy")
         a = CoinTable(5, self.IDS).uniforms(range(5))
         b = CoinTable(5, self.IDS).uniforms(range(5))
@@ -90,7 +90,7 @@ class TestCoinTable:
         assert list(a) == list(b)
         assert list(a) != list(c)
 
-    def test_philox_bounds_and_shapes(self):
+    def test_keyed_bounds_and_shapes(self):
         np = pytest.importorskip("numpy")
         table = CoinTable(1, self.IDS)
         u = table.uniforms(range(5))
@@ -101,7 +101,7 @@ class TestCoinTable:
         runs = table.uniform_runs([0, 1], [3, 0])
         assert runs.shape == (3,)
 
-    def test_philox_setup_is_o1(self):
+    def test_keyed_setup_is_o1(self):
         # The whole point: no per-node generator objects.
         pytest.importorskip("numpy")
         table = CoinTable(0, range(10**7))
@@ -116,5 +116,5 @@ class TestCoinTable:
         pytest.importorskip("numpy")
         table = CoinTable(2, self.IDS, kind="replay")
         assert as_coin_table(table, 99, []) is table
-        made = as_coin_table("philox", 2, self.IDS)
-        assert isinstance(made, CoinTable) and made.kind == "philox"
+        made = as_coin_table("keyed", 2, self.IDS)
+        assert isinstance(made, CoinTable) and made.kind == "keyed"
