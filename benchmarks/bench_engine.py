@@ -28,7 +28,7 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
 * **E22**: sharded execution — Luby across a 4-shard process pool with
   per-round halo exchange (:func:`repro.local.sharded.luby_mis_sharded`)
   beats the single-process dense kernel >= 2x at n = 1,000,000, deg ~20,
-  while staying bit-identical to ``coins="keyed"`` dense runs; partition
+  while staying bit-identical to single-process dense runs; partition
   and halo-exchange seconds land as their own table columns and as
   :mod:`repro.obs` span records.  Needs >= 4 cores (skips otherwise;
   ``REPRO_E22_FORCE=1`` overrides), so CI runs it on main pushes only.
@@ -100,19 +100,14 @@ def test_e18_dense_backend_mis_speedup(benchmark):
     engine = CSREngine(Network(adj))
     engine.dense_arrays()  # pay the numpy mirror once, like the engine's packing
 
-    # Correctness before speed: a replayed-coin dense run must be
-    # bit-identical to the engine; the keyed run must be a valid MIS.
+    # Correctness before speed: the dense run must be bit-identical to the
+    # engine on the same keyed coins.
     fast = engine.run(LubyMIS(), seed=1)
-    replay = luby_mis_dense(engine, seed=1, coins="replay")
-    assert replay.rounds == fast.rounds
-    assert [bool(x) for x in replay.in_mis] == [
+    dense = luby_mis_dense(engine, seed=1)
+    assert dense.rounds == fast.rounds
+    assert [bool(x) for x in dense.in_mis] == [
         bool(v.state.get("in_mis")) for v in fast.views
     ]
-    dense = luby_mis_dense(engine, seed=1)
-    assert dense.completed
-    from repro.mis.luby import is_mis
-
-    assert is_mis(adj, {int(i) for i in dense.in_mis.nonzero()[0]})
 
     t_engine = best_of(lambda: engine.run(LubyMIS(), seed=1), repeat=2)
     t_dense = best_of(lambda: luby_mis_dense(engine, seed=1), repeat=5)
@@ -366,8 +361,7 @@ def test_e21_noop_tracer_overhead(benchmark):
                                hooks=TracingHooks(tracers["reference"])),
         "engine": engine.run(LubyMIS(), seed=1,
                              hooks=TracingHooks(tracers["engine"])),
-        "dense": luby_mis_dense(engine, seed=1, coins="replay",
-                                tracer=tracers["dense"]),
+        "dense": luby_mis_dense(engine, seed=1, tracer=tracers["dense"]),
     }
     rounds = {k: r.rounds for k, r in results.items()}
     assert rounds["reference"] == rounds["engine"] == rounds["dense"]
@@ -432,7 +426,7 @@ def test_e22_sharded_luby_speedup(benchmark):
 
     Correctness first, at a size where the pool tax is visible: a 4-shard
     run over real worker processes must be bit-identical to the
-    single-process ``coins="keyed"`` dense kernel (membership, crash
+    single-process dense kernel (membership, crash
     records, round count), and the attached tracer must carry one
     ``sharded.partition`` and one ``sharded.halo_exchange`` span per
     trial.  Then the gate: at n = 1,000,000, deg ~20, the hot 4-shard
@@ -455,7 +449,7 @@ def test_e22_sharded_luby_speedup(benchmark):
     small = CSREngine(Network(random_sparse_graph(20_000, SHARDED_AVG_DEGREE,
                                                   seed=22)))
     small.dense_arrays()
-    seq = luby_mis_dense(small, seed=1, coins="keyed")
+    seq = luby_mis_dense(small, seed=1)
     tracer = Tracer(backend="dense-sharded")
     with ShardedExecutor(small, SHARDED_WORKERS, tracer=tracer) as ex:
         shard = luby_mis_sharded(small, seed=1, executor=ex)
@@ -471,7 +465,7 @@ def test_e22_sharded_luby_speedup(benchmark):
     engine = CSREngine(Network(adj))
     engine.dense_arrays()
 
-    t_dense = best_of(lambda: luby_mis_dense(engine, seed=1, coins="keyed"),
+    t_dense = best_of(lambda: luby_mis_dense(engine, seed=1),
                       repeat=2)
     with ShardedExecutor(engine, SHARDED_WORKERS) as ex:
         result = luby_mis_sharded(engine, seed=1, executor=ex)  # warm the pool
@@ -481,7 +475,7 @@ def test_e22_sharded_luby_speedup(benchmark):
         speedup = t_dense / t_sharded
         if speedup < 2.0:
             t_dense = min(t_dense, best_of(
-                lambda: luby_mis_dense(engine, seed=1, coins="keyed"), repeat=2
+                lambda: luby_mis_dense(engine, seed=1), repeat=2
             ))
             t_sharded = min(t_sharded, best_of(
                 lambda: luby_mis_sharded(engine, seed=1, executor=ex), repeat=2

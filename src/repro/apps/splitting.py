@@ -198,7 +198,6 @@ def uniform_splitting(
     method: str = "derandomized",
     seed: SeedLike = None,
     max_attempts: int = 64,
-    coins="keyed",
     engine: Optional[CSREngine] = None,
     hooks=None,
     faults=None,
@@ -216,10 +215,8 @@ def uniform_splitting(
     (:class:`ZeroRoundSplitting`) on the batched engine, with the validity
     check distributed to the nodes themselves; ``method="dense"`` runs the
     identical Las-Vegas loop through the vectorized numpy kernel
-    (:func:`repro.local.dense.uniform_splitting_dense`) — with the default
-    counter-based ``coins="keyed"`` it is distribution-identical with
-    O(1) per-attempt setup (the performance mode, like the other dense
-    pipelines), with ``coins="replay"`` the accepted partition is
+    (:func:`repro.local.dense.uniform_splitting_dense`) — the performance
+    mode, like the other dense pipelines, whose accepted partition is
     bit-identical to ``method="local"`` for the same seed.  A prebuilt
     ``engine`` over the same adjacency amortizes CSR packing across calls
     (used by the ``local`` and ``dense`` methods only).
@@ -257,10 +254,6 @@ def uniform_splitting(
     if method == "dense-sharded":
         from repro.local.sharded import uniform_splitting_sharded
 
-        require(
-            coins == "keyed",
-            f"dense-sharded runs keyed coins only, got coins={coins!r}",
-        )
         if engine is None:
             engine = CSREngine(Network(adjacency))
         sharded = uniform_splitting_sharded(
@@ -283,7 +276,7 @@ def uniform_splitting(
         if engine is None:
             engine = CSREngine(Network(adjacency))
         batch = uniform_splitting_batched(
-            engine, spec, list(seed), coins=coins, max_attempts=max_attempts,
+            engine, spec, list(seed), max_attempts=max_attempts,
             red=RED, blue=BLUE, faults=faults,
         )
         if ledger is not None:
@@ -313,7 +306,7 @@ def uniform_splitting(
             run_seed = rng.randrange(2**31)
             if method == "dense":
                 dense = uniform_splitting_dense(
-                    engine, spec, seed=run_seed, coins=coins, red=RED, blue=BLUE,
+                    engine, spec, seed=run_seed, red=RED, blue=BLUE,
                     faults=faults,
                 )
                 if ledger is not None:

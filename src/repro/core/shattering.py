@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
 from repro.local.ledger import RoundLedger
-from repro.utils.rng import SeedLike, ensure_rng, node_rng
+from repro.utils.rng import SeedLike, ensure_rng, keyed_u01, mix64
 
 __all__ = ["ShatteringOutcome", "shatter", "unsatisfied_probability_estimate"]
 
@@ -69,19 +69,19 @@ def shatter(
     for the uncoloring broadcast (the paper counts this as "O(1) rounds
     including the uncoloring").
     """
+    import numpy as np
+
     rng = ensure_rng(seed)
     master = rng.getrandbits(63)
 
-    # Coloring phase — private coins per variable.
-    tentative: List[Optional[int]] = []
-    for v in range(inst.n_right):
-        coin = node_rng(master, v, "shatter").random()
-        if coin < 0.25:
-            tentative.append(RED)
-        elif coin < 0.5:
-            tentative.append(BLUE)
-        else:
-            tentative.append(None)
+    # Coloring phase — one private keyed coin per variable: the init draw
+    # variable v makes as simulator node n_left + v in
+    # :class:`~repro.core.local_algorithms.ShatteringLocal` run with seed
+    # ``master``, so the two produce the same partial coloring.
+    coins = keyed_u01(np, mix64(master), inst.n_left + np.arange(inst.n_right), 1)
+    tentative: List[Optional[int]] = [
+        RED if coin < 0.25 else BLUE if coin < 0.5 else None for coin in coins.tolist()
+    ]
 
     # Uncoloring phase — constraints with > 3/4 colored neighbors fire.
     uncolor: Set[int] = set()

@@ -2,38 +2,33 @@
 
 :class:`~repro.local.engine.CSREngine` removed the reference simulator's
 dict overhead, but its hot loop still makes O(active) Python hook calls
-(``init``/``broadcast``/``send``/``receive``) per round and pays ~9 µs per
-node of :func:`~repro.utils.rng.node_rng` setup.  For the paper's randomized
+(``init``/``broadcast``/``send``/``receive``) per round.  For the paper's randomized
 pipelines — Luby MIS, trial-and-fix sinkless orientation, 0-round uniform
 splitting — the per-node logic is a few comparisons, so at n >= 10^5 the
 interpreter *is* the cost.
 
 The kernels here execute an entire round of one specific algorithm as
 masked array arithmetic over the engine's CSR layout
-(:meth:`CSREngine.dense_arrays`): candidate coin draws come from a
-:class:`~repro.utils.rng.CoinTable`, neighborhood reductions are
+(:meth:`CSREngine.dense_arrays`): candidate coin draws come from
+:func:`~repro.utils.rng.keyed_u01`, neighborhood reductions are
 ``np.logical_or.reduceat`` / ``np.add.reduceat`` over the CSR segments, and
 the per-slot owner array ``np.repeat(arange(n), degrees)`` turns "compare
 me against each neighbor" into two gathers and a compare.
 
-Coin contract (see :class:`~repro.utils.rng.CoinTable`):
+Coin contract: the ``j``-th draw of node ``i`` in round ``r`` is
+``keyed_u01(mix64(seed), i + j*n, r)`` — exactly what the simulators'
+:class:`~repro.utils.rng.NodeCoins` hand the algorithm as ``view.rng``.
+Every value is a pure function of ``(seed, node, draw, round)`` with O(1)
+setup, so a dense run is **bit-identical** to :class:`CSREngine` (and hence
+to :func:`~repro.local.network.run_local`), and a *trial-batched* kernel
+(:func:`luby_mis_batched`, :func:`sinkless_trial_batched`,
+:func:`uniform_splitting_batched`) or a sharded one
+(:mod:`repro.local.sharded`) reproduces k sequential runs bit-for-bit while
+advancing all k trials through shared array passes.
 
-* ``coins="keyed"`` (default) keys every value by ``(seed, counter, round
-  tag)`` with O(1) setup — **distribution-identical** to the engine and
-  order-insensitive, which is what lets a *trial-batched* kernel
-  (:func:`luby_mis_batched`, :func:`sinkless_trial_batched`,
-  :func:`uniform_splitting_batched`) or a sharded one
-  (:mod:`repro.local.sharded`) reproduce k sequential keyed runs
-  bit-for-bit while advancing all k trials through shared array passes.
-* ``coins="replay"`` feeds the kernels the *exact* per-node ``node_rng``
-  streams the engine consumes, in the same per-node draw order, so outputs
-  and round counts are **bit-identical** to :class:`CSREngine` (and hence to
-  :func:`~repro.local.network.run_local`).  O(n) setup — for tests and
-  cross-checks.
-
-Each kernel documents exactly which hook-level draws it replays; any change
-to the corresponding :class:`LocalAlgorithm` must be mirrored here (the
-equivalence property tests in ``tests/local/test_dense.py`` enforce this).
+Each kernel documents exactly which hook-level draws it recomputes; any
+change to the corresponding :class:`LocalAlgorithm` must be mirrored here
+(the engine-identity tests in ``tests/local/test_dense.py`` enforce this).
 """
 
 from __future__ import annotations
@@ -44,14 +39,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.local.engine import CSREngine
-from repro.utils.rng import (
-    CoinTable,
-    as_coin_table,
-    ensure_rng,
-    keyed_hash53,
-    keyed_u01,
-    mix64,
-)
+from repro.utils.rng import ensure_rng, keyed_hash53, keyed_u01, mix64
 from repro.utils.validation import require
 
 __all__ = [
@@ -69,19 +57,13 @@ __all__ = [
 
 
 class DenseResult:
-    """Outcome of a dense kernel run: per-node arrays instead of NodeViews.
+    """Outcome of a dense kernel run: per-node arrays instead of NodeViews."""
 
-    ``rng_seconds`` is the wall time of coin-table construction (the
-    kernels' analogue of the executors' per-node ``node_rng`` setup — the
-    O(n) RNG tax the ROADMAP tracks; O(1) for counter-based coin kinds).
-    """
+    __slots__ = ("rounds", "completed", "data")
 
-    __slots__ = ("rounds", "completed", "rng_seconds", "data")
-
-    def __init__(self, rounds: int, completed: bool, rng_seconds: float = 0.0, **data):
+    def __init__(self, rounds: int, completed: bool, **data):
         self.rounds = rounds
         self.completed = completed
-        self.rng_seconds = rng_seconds
         self.data = data
 
     def __getattr__(self, name):
@@ -100,16 +82,15 @@ class BatchedDenseResult:
     (ragged termination): a finished trial's rows are frozen at their final
     state while survivors keep iterating.  :meth:`trial` slices one trial
     back out as a :class:`DenseResult`, bit-identical to the corresponding
-    sequential ``coins="keyed"`` run of the same kernel.
+    sequential run of the same kernel.
     """
 
-    __slots__ = ("seeds", "rounds", "completed", "rng_seconds", "data")
+    __slots__ = ("seeds", "rounds", "completed", "data")
 
-    def __init__(self, seeds, rounds, completed, rng_seconds: float = 0.0, **data):
+    def __init__(self, seeds, rounds, completed, **data):
         self.seeds = list(seeds)
         self.rounds = rounds
         self.completed = completed
-        self.rng_seconds = rng_seconds
         self.data = data
 
     def __getattr__(self, name):
@@ -122,14 +103,10 @@ class BatchedDenseResult:
         return len(self.seeds)
 
     def trial(self, t: int) -> DenseResult:
-        """The ``t``-th trial's slice as a sequential-shaped result.
-
-        The batch-wide RNG setup time is amortized evenly across trials.
-        """
+        """The ``t``-th trial's slice as a sequential-shaped result."""
         return DenseResult(
             int(self.rounds[t]),
             bool(self.completed[t]),
-            rng_seconds=self.rng_seconds / max(len(self.seeds), 1),
             **{key: value[t] for key, value in self.data.items()},
         )
 
@@ -235,6 +212,17 @@ def _uids(engine: CSREngine) -> np.ndarray:
     return np.asarray(engine.network.ids, dtype=np.int64)
 
 
+def _port_keys(offsets: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    """Per-slot coin key ``owner + port*n``: the owner's ``port``-th draw."""
+    port = np.arange(owner.shape[0], dtype=np.int64) - offsets[:-1][owner]
+    return owner + port * np.int64(n)
+
+
+def _flip_ports(seed_hash, sinks: np.ndarray, degrees: np.ndarray, round_no: int) -> np.ndarray:
+    """Each sink's ``randrange(degree)``: its first draw of the round."""
+    return (keyed_u01(np, seed_hash, sinks, round_no) * degrees[sinks]).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # Luby MIS.
 # ---------------------------------------------------------------------------
@@ -259,9 +247,9 @@ def luby_round_dense(
     coins (only entries of active nodes are read).  Returns
     ``(joining, killed)``: nodes that enter the MIS this phase, and nodes
     eliminated because a neighbor joined.  The priority order is the
-    engine's tuple compare ``(r, uid)`` — ties on ``r`` (possible across
-    independent replay streams) break on uid, exactly like
-    :class:`~repro.mis.luby.LubyMIS`, so there is no float-tie hazard.
+    engine's tuple compare ``(r, uid)`` — ties on ``r`` break on uid,
+    exactly like :class:`~repro.mis.luby.LubyMIS`, so there is no float-tie
+    hazard.
 
     The optional fault arguments mirror the hooked engine's semantics on a
     faulty environment (all default to the clean-run behaviour):
@@ -308,7 +296,6 @@ def luby_round_dense(
 def luby_mis_dense(
     engine: CSREngine,
     seed: int = 0,
-    coins="keyed",
     max_rounds: int = 10_000,
     faults=None,
     tracer=None,
@@ -316,19 +303,18 @@ def luby_mis_dense(
     """Luby's MIS as dense phases; same semantics as running
     :class:`~repro.mis.luby.LubyMIS` on the engine.
 
-    Replayed draws per engine hook call: one ``random()`` per *active* node
-    per odd (priority) round, nothing on even rounds; degree-0 nodes join
-    the MIS in ``init`` and never draw.  With ``coins="replay"`` the
-    returned ``in_mis`` mask and round count are bit-identical to the
-    engine's outputs for the same seed.
+    Recomputed draws per engine hook call: one ``random()`` per *active*
+    node per odd (priority) round, nothing on even rounds; degree-0 nodes
+    join the MIS in ``init`` and never draw.  The returned ``in_mis`` mask
+    and round count are bit-identical to the engine's outputs for the same
+    seed.
 
     ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`, or any object
     with ``crashed_at``/``delivered_in``) is the masked-array equivalent of
     running the engine with scenario hooks: crashed nodes leave the frontier
     before drawing (and never join), dropped priority/announcement messages
-    are excluded from the neighborhood reductions.  With ``coins="replay"``
-    a faulty dense run is bit-identical to the engine under the same
-    perturbation stack.
+    are excluded from the neighborhood reductions.  A faulty dense run is
+    bit-identical to the engine under the same perturbation stack.
 
     ``tracer`` (a :class:`~repro.obs.trace.Tracer`; None or a NullTracer by
     default) records one round record per executed round — the same round
@@ -344,9 +330,7 @@ def luby_mis_dense(
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
     uid = _uids(engine)
-    rng_start = time.perf_counter()
-    table = as_coin_table(coins, seed, engine.network.ids)
-    rng_seconds = time.perf_counter() - rng_start
+    seed_hash = mix64(seed)
     degrees = np.diff(offsets)
 
     in_mis = degrees == 0  # isolated nodes join immediately (init)
@@ -372,14 +356,11 @@ def luby_mis_dense(
             if crash is not None:
                 crashed |= active & crash
                 active = active & ~crash
-        # Odd round: active nodes draw priorities (index order, like the
-        # engine's broadcast sweep — per-node replay streams make the
-        # cross-node order immaterial, the per-node draw count exact).  The
-        # round tag keys the keyed kind; replay ignores it.
+        # Odd round: every active node's first draw of the round.
         if trace:
             phase_start = time.perf_counter()
         act_idx = np.flatnonzero(active)
-        r[act_idx] = table.uniforms(act_idx, tag=round1)
+        r[act_idx] = keyed_u01(np, seed_hash, act_idx, round1)
         rounds += 1
         if trace:
             # Post-round-1-crash frontier == the reference's non-halted
@@ -419,13 +400,7 @@ def luby_mis_dense(
                 active=int(active.sum()),
                 seconds=time.perf_counter() - phase_start,
             )
-    return DenseResult(
-        rounds,
-        completed=not active.any(),
-        rng_seconds=rng_seconds,
-        in_mis=in_mis,
-        crashed=crashed,
-    )
+    return DenseResult(rounds, completed=not active.any(), in_mis=in_mis, crashed=crashed)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +420,9 @@ def luby_mis_dense(
 #   trial per phase — the "one pass, many seeds" payoff, since Luby's
 #   frontier decays geometrically and the tail phases dominate the count.
 #
-# Coins are ``keyed`` (pure hash of (seed, node, round)), so the batched
-# run is bit-identical to k sequential ``coins="keyed"`` runs — enforced by
-# the property tests in tests/local/test_dense_batched.py.
+# Coins are keyed (pure hash of (seed, node, round)), so the batched run is
+# bit-identical to k sequential runs — enforced by the property tests in
+# tests/local/test_dense_batched.py.
 # ---------------------------------------------------------------------------
 
 
@@ -566,7 +541,6 @@ def _luby_phase1_fast(t, s_hash, n, node_idx, act0, uid_gt, offsets, dst_node,
 def luby_mis_batched(
     engine: CSREngine,
     seeds: Sequence[int],
-    coins="keyed",
     max_rounds: int = 10_000,
     faults=None,
     pool_pairs: int = 4096,
@@ -575,7 +549,7 @@ def luby_mis_batched(
     """Luby's MIS for a batch of seeds on one graph, in one kernel call.
 
     Per trial this is exactly ``luby_mis_dense(engine, seed=s,
-    coins="keyed", max_rounds=..., faults=...)`` — same MIS membership,
+    max_rounds=..., faults=...)`` — same MIS membership,
     crash records, round counts and completion flags, bit for bit — but the
     trials advance together: phase 1 runs per trial over cache-hot full
     arrays, and once a trial's frontier is small (``pool_pairs`` live pairs
@@ -585,8 +559,7 @@ def luby_mis_batched(
 
     ``faults`` is one shared :class:`~repro.scenarios.masks.DenseFaults`
     schedule broadcast across the trial axis (per-round masks are built
-    once and reused by every trial).  ``coins`` must be ``"keyed"``;
-    ``"replay"`` streams are consumption-ordered and cannot be batched.
+    once and reused by every trial).
 
     ``tracer`` records one ``batch_phase`` event per communal phase (the
     per-trial round semantics of the batched regime make per-round records
@@ -595,11 +568,6 @@ def luby_mis_batched(
     Returns a :class:`BatchedDenseResult` with ``in_mis`` and ``crashed``
     of shape ``(trials, n)``.
     """
-    require(
-        coins == "keyed",
-        "trial-batched kernels draw keyed counter-based coins "
-        "(replay streams are consumption-ordered and cannot be batched)",
-    )
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     require(
         not getattr(faults, "corrupting", False),
@@ -755,7 +723,6 @@ def sinkless_trial_dense(
     engine: CSREngine,
     min_degree: int = 1,
     seed: int = 0,
-    coins="keyed",
     max_rounds: int = 200,
     faults=None,
     strict: bool = True,
@@ -813,16 +780,13 @@ def sinkless_trial_dense(
     )
     # partner[k]: the CSR slot on the other endpoint of slot k's edge.
     partner = offsets[:-1][dst_node] + dst_port
-
-    rng_start = time.perf_counter()
-    table = as_coin_table(coins, seed, engine.network.ids)
-    rng_seconds = time.perf_counter() - rng_start
+    seed_hash = mix64(seed)
 
     # Round 1: per-port proposals, higher-uid endpoint's coin wins; the
     # winner's coin True means "winner's side points outward".
     if trace:
         phase_start = time.perf_counter()
-    coins1 = table.uniform_runs(np.arange(n, dtype=np.int64), degrees, tag=1) < 0.5
+    coins1 = keyed_u01(np, seed_hash, _port_keys(offsets, owner, n), 1) < 0.5
     higher = uid[owner] > uid[dst_node]
     out = np.where(higher, coins1, ~coins1[partner])
     rounds = 1
@@ -866,7 +830,7 @@ def sinkless_trial_dense(
             # corruption flips that bit per delivered slot, so the set of
             # perceived flips is (chosen XOR corrupt) over live endpoints.
             if sink_idx.shape[0]:
-                ports = table.randints(sink_idx, degrees[sink_idx], tag=round_no)
+                ports = _flip_ports(seed_hash, sink_idx, degrees, round_no)
                 chosen = offsets[:-1][sink_idx] + ports
                 out[chosen] = True
             is_flip = np.zeros(m, dtype=bool)
@@ -879,7 +843,7 @@ def sinkless_trial_dense(
                 mark &= delivered
             out[partner[np.flatnonzero(mark)]] = False
         elif sink_idx.shape[0]:
-            ports = table.randints(sink_idx, degrees[sink_idx], tag=round_no)
+            ports = _flip_ports(seed_hash, sink_idx, degrees, round_no)
             chosen = offsets[:-1][sink_idx] + ports
             out[chosen] = True
             # Receive phase: the paired port is marked inward.  A doubly
@@ -907,12 +871,12 @@ def sinkless_trial_dense(
         effective_out = np.where(low_view, out, ~out[partner])
         if not (constrained & ~crashed & ~_segment_or(effective_out, offsets)).any():
             return DenseResult(
-                rounds, completed=True, rng_seconds=rng_seconds, out=out, crashed=crashed
+                rounds, completed=True, out=out, crashed=crashed
             )
     if strict:
         raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
     return DenseResult(
-        rounds, completed=False, rng_seconds=rng_seconds, out=out, crashed=crashed
+        rounds, completed=False, out=out, crashed=crashed
     )
 
 
@@ -920,7 +884,6 @@ def sinkless_trial_batched(
     engine: CSREngine,
     seeds: Sequence[int],
     min_degree: int = 1,
-    coins="keyed",
     max_rounds: int = 200,
     faults=None,
     strict: bool = True,
@@ -928,7 +891,7 @@ def sinkless_trial_batched(
     """Trial-and-fix sinkless orientation for a batch of seeds at once.
 
     Per trial this is exactly ``sinkless_trial_dense(engine, min_degree,
-    seed=s, coins="keyed", ...)`` — same slot states, round counts and
+    seed=s, ...)`` — same slot states, round counts and
     crash records — but the fix rounds run in lockstep over ``(trial,
     slot)`` grids: one 2D segment-mask pass finds every trial's sinks, one
     keyed-hash call draws every flip port, and one flat scatter applies the
@@ -941,11 +904,6 @@ def sinkless_trial_batched(
     *any* trial fails to orient within ``max_rounds``, mirroring the
     sequential driver; ``strict=False`` returns the incomplete rows.
     """
-    require(
-        coins == "keyed",
-        "trial-batched kernels draw keyed counter-based coins "
-        "(replay streams are consumption-ordered and cannot be batched)",
-    )
     require(min_degree >= 1, f"min_degree must be >= 1, got {min_degree}")
     require(
         not getattr(faults, "corrupting", False),
@@ -975,11 +933,9 @@ def sinkless_trial_batched(
             seeds, rounds, completed, out=np.zeros((0, m), dtype=bool), crashed=crashed
         )
 
-    # Round 1: the sequential kernel keys its full-graph uniform_runs call
-    # by position-within-call, which *is* the CSR slot index — so the
-    # batched grid replays the identical coins per (trial, slot).
-    slot_idx = np.arange(m, dtype=np.int64)
-    coins1 = keyed_u01(np, sh[:, None], slot_idx, 1) < 0.5
+    # Round 1: the same per-port keys as the sequential kernel, one row per
+    # trial seed.
+    coins1 = keyed_u01(np, sh[:, None], _port_keys(offsets, owner, n), 1) < 0.5
     higher = uid[owner] > uid[dst_node]
     out = np.where(higher[None, :], coins1, ~coins1[:, partner])
 
@@ -1002,11 +958,7 @@ def sinkless_trial_batched(
         )
         t_idx, v_idx = np.nonzero(sinks_own)
         if t_idx.shape[0]:
-            # Sequential randints keys each draw by the node index, so the
-            # batched call hashes (seed_t, node, round) per flat sink.
-            ports = (
-                keyed_u01(np, sh[t_idx], v_idx, round_no) * degrees[v_idx]
-            ).astype(np.int64)
+            ports = _flip_ports(sh[t_idx], v_idx, degrees, round_no)
             chosen = offsets[:-1][v_idx] + ports
             base = t_idx * m
             outf[base + chosen] = True
@@ -1057,7 +1009,6 @@ def uniform_splitting_dense(
     engine: CSREngine,
     spec,
     seed: int = 0,
-    coins="keyed",
     red: int = 0,
     blue: int = 1,
     faults=None,
@@ -1066,17 +1017,17 @@ def uniform_splitting_dense(
     """One attempt of the 0-round splitting + 1-round verification, dense.
 
     Mirrors :class:`~repro.apps.splitting.ZeroRoundSplitting` for one run
-    seed: every node draws one coin in ``init`` (index order) and colors
-    itself red iff the coin is < 1/2; the verification round counts each
+    seed: every node draws one coin in ``init`` (keyed as round 1) and
+    colors itself red iff the coin is < 1/2; the verification round counts each
     node's red neighbors over its CSR segment and checks the spec bounds for
     constrained degrees.  The Las-Vegas retry loop lives in
     :func:`repro.apps.splitting.uniform_splitting` (``method="dense"``).
 
     ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) mirrors the
     hooked engine on the single round: every node still draws its color in
-    ``init`` (crashes land *after* init, so the replay draw count is
-    unchanged), but crashed nodes neither broadcast nor verify, and dropped
-    color messages are excluded from the red-neighbor counts — ``ok`` is
+    ``init`` (crashes land *after* init), but crashed nodes neither
+    broadcast nor verify, and dropped color messages are excluded from the
+    red-neighbor counts — ``ok`` is
     then the surviving nodes' own (possibly fault-blinded) verdict, exactly
     what the distributed Las-Vegas loop would act on.
 
@@ -1089,13 +1040,10 @@ def uniform_splitting_dense(
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
     degrees = np.diff(offsets)
-    rng_start = time.perf_counter()
-    table = as_coin_table(coins, seed, engine.network.ids)
-    rng_seconds = time.perf_counter() - rng_start
 
     if trace:
         phase_start = time.perf_counter()
-    u = table.uniforms(np.arange(n, dtype=np.int64), tag=1)
+    u = keyed_u01(np, mix64(seed), np.arange(n, dtype=np.int64), 1)
     colors = np.where(u < 0.5, red, blue)
     crashed = np.zeros(n, dtype=bool)
     is_red = colors[dst_node] == red
@@ -1135,7 +1083,7 @@ def uniform_splitting_dense(
             seconds=time.perf_counter() - phase_start,
         )
     return DenseResult(
-        1, completed=True, rng_seconds=rng_seconds, colors=colors, ok=ok, crashed=crashed
+        1, completed=True, colors=colors, ok=ok, crashed=crashed
     )
 
 
@@ -1143,7 +1091,6 @@ def uniform_splitting_batched(
     engine: CSREngine,
     spec,
     seeds: Sequence[int],
-    coins="keyed",
     max_attempts: int = 64,
     red: int = 0,
     blue: int = 1,
@@ -1152,7 +1099,7 @@ def uniform_splitting_batched(
     """The uniform-splitting Las-Vegas loop for a batch of master seeds.
 
     Per trial this is exactly the ``method="dense"`` loop of
-    :func:`repro.apps.splitting.uniform_splitting` with ``coins="keyed"``:
+    :func:`repro.apps.splitting.uniform_splitting`:
     each master seed drives its own ``random.Random`` stream of per-attempt
     run seeds (bit-identical to the sequential loop's draws), and each
     attempt is one 0-round splitting + verification.  The batching is per
@@ -1168,11 +1115,6 @@ def uniform_splitting_batched(
     attempts consumed (the per-trial ledger charge is one verification
     round per attempt, applied by the wrapper).
     """
-    require(
-        coins == "keyed",
-        "trial-batched kernels draw keyed counter-based coins "
-        "(replay streams are consumption-ordered and cannot be batched)",
-    )
     require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
     require(
         not getattr(faults, "corrupting", False),

@@ -26,9 +26,10 @@ bit-identical outputs for a fixed seed — but restructures the hot path:
   then skips the ``{port: message}`` dict construction entirely and writes
   the message across the node's CSR slice in a tight loop.
 
-Equivalence with the reference is structural, not accidental: both derive
-per-node coins from the same ``node_rng``, call ``init``/``broadcast``/
-``send``/``receive`` for the same nodes in the same index order, and pair
+Equivalence with the reference is structural, not accidental: both draw
+per-node coins from the same keyed :class:`~repro.utils.rng.NodeCoins`,
+call ``init``/``broadcast``/``send``/``receive`` for the same nodes in the
+same index order, and pair
 multi-edge ports with the same order-of-appearance rule
 (:func:`repro.local.network.build_reverse_ports`).  Inbox dicts are even
 populated in the same insertion order (sender index, then port), so
@@ -57,7 +58,7 @@ from repro.local.network import (
     SimulationResult,
     build_reverse_ports,
 )
-from repro.utils.rng import node_rng
+from repro.utils.rng import NodeCoins, mix64
 from repro.utils.validation import require
 
 __all__ = ["CSREngine", "run_local_fast"]
@@ -155,13 +156,15 @@ class CSREngine:
         n = self.n
 
         rng_start = time.perf_counter()
+        seed_hash = mix64(seed)
+        clock = [1]  # shared round clock of the NodeCoins; init is round 1
         views = [
             NodeView(
                 index=i,
                 uid=network.ids[i],
                 degree=len(out_slots[i]),
                 n=n,
-                rng=node_rng(seed, network.ids[i]),
+                rng=NodeCoins(seed_hash, i, n, clock),
             )
             for i in range(n)
         ]
@@ -185,6 +188,7 @@ class CSREngine:
         for round_no in range(1, max_rounds + 1):
             if not active:
                 break
+            clock[0] = round_no
             if hooks is not None:
                 # Crashes injected here drop out of the frontier before the
                 # send phase — the reference skips them via ``view.halted``.

@@ -16,9 +16,11 @@ The simulator here is faithful to that definition:
   forwards it to a :class:`repro.local.ledger.RoundLedger` as a *simulated*
   charge.
 
-Randomized LOCAL algorithms receive per-node private coin sources derived
-from a master seed (see :func:`repro.utils.rng.node_rng`), keeping runs
-reproducible without correlating nodes.
+Randomized LOCAL algorithms receive per-node private coin sources keyed by
+``(master seed, node index, draw, round)`` (see
+:class:`repro.utils.rng.NodeCoins`), keeping runs reproducible without
+correlating nodes — and drawing exactly the coins the numpy kernels of
+:mod:`repro.local.dense` recompute.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import random
 import time
 
-from repro.utils.rng import node_rng
+from repro.utils.rng import NodeCoins, mix64
 from repro.utils.validation import require
 
 __all__ = [
@@ -130,7 +131,7 @@ class NodeView:
     uid: int  #: the node's unique identifier (visible to the algorithm)
     degree: int  #: number of incident ports
     n: int  #: number of nodes in the network (known in the LOCAL model)
-    rng: random.Random  #: private coins
+    rng: NodeCoins  #: private coins (``random()`` / ``randrange(k)``)
     state: Dict[str, Any] = field(default_factory=dict)  #: private memory
     output: Any = None  #: final output once set
     halted: bool = False  #: whether the node has terminated
@@ -234,8 +235,8 @@ class SimulationResult:
     rounds: int  #: number of executed rounds
     views: List[NodeView]  #: final node views (outputs in ``view.output``)
     completed: bool  #: True iff all nodes halted before the round cap
-    #: wall time of per-node RNG construction (the O(n) ``node_rng`` setup
-    #: tax the ROADMAP tracks; see also ``TrialResult.rng_seconds``)
+    #: wall time of per-node coin-stream construction (see also
+    #: ``TrialResult.rng_seconds``)
     rng_seconds: float = 0.0
 
     def outputs(self) -> List[Any]:
@@ -296,13 +297,15 @@ def run_local(
     reverse_port = build_reverse_ports(network.adjacency)
 
     rng_start = time.perf_counter()
+    seed_hash = mix64(seed)
+    clock = [1]  # the round every NodeCoins keys its draws by; init is round 1
     views = [
         NodeView(
             index=i,
             uid=network.ids[i],
             degree=network.degree(i),
             n=n,
-            rng=node_rng(seed, network.ids[i]),
+            rng=NodeCoins(seed_hash, i, n, clock),
         )
         for i in range(n)
     ]
@@ -314,6 +317,7 @@ def run_local(
     for round_no in range(1, max_rounds + 1):
         if all(v.halted for v in views):
             break
+        clock[0] = round_no
         if hooks is not None:
             hooks.before_round(round_no, views)
         inboxes: List[Dict[int, Any]] = [{} for _ in range(n)]

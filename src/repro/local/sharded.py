@@ -10,10 +10,10 @@ a full round needs to move only the boundary frontier values between
 shards, never the CSR state itself.
 
 Three properties of the existing stack make the sharded run *bit-identical*
-per trial to the unsharded ``coins="keyed"`` dense kernels:
+per trial to the unsharded dense kernels:
 
 * **Keyed coins are pure.**  Every coin is ``keyed_hash53`` of
-  ``(seed_hash, global node/slot index, round)``
+  ``(seed_hash, global node index + draw * n, round)``
   (:mod:`repro.utils.rng`), so a shard recomputes its nodes' (and its halo
   nodes') coins locally from *global* indices — no coin ever crosses a
   shard boundary.
@@ -607,17 +607,17 @@ def _w_luby_gather(key, payload=None):
 def _w_sink_start(key, seed_hash, bound, min_degree, payload=None):
     """Round 1: per-port proposal coins, higher-uid endpoint's coin wins.
 
-    Both endpoints' round-1 coins are keyed by *global slot index*, so the
-    shard computes the partner's coin directly — round 1 needs no exchange.
+    Port ``p`` of global node ``v`` keys its coin as ``v + p*n``, so the
+    shard computes the partner's coin directly from ``(dst_global,
+    dst_port)`` — round 1 needs no exchange.
     """
     st = _STATE[key]
     _maybe_fail(st)
     sp = st["spec"]
     nI = st["nI"]
-    m_local = sp.dst_local.shape[0]
-    slot_global = sp.slot_base + np.arange(m_local, dtype=np.int64)
-    coins_own = keyed_u01(np, seed_hash, slot_global, 1) < 0.5
-    coins_partner = keyed_u01(np, seed_hash, sp.partner_global, 1) < 0.5
+    n = np.int64(sp.n_global)
+    coins_own = keyed_u01(np, seed_hash, st["owner_global"] + st["out_port"] * n, 1) < 0.5
+    coins_partner = keyed_u01(np, seed_hash, sp.dst_global + sp.dst_port * n, 1) < 0.5
     uid = sp.uid_local
     higher = uid[st["owner"]] > uid[sp.dst_local]
     out = np.where(higher, coins_own, ~coins_partner)
@@ -660,7 +660,7 @@ def _w_sink_send(key, round_no, payload=None):
     clear = np.zeros(sp.cut_slots.shape[0], dtype=bool)
     if sink_idx.shape[0]:
         degrees = st["degrees"]
-        # Keyed by global node index, exactly CoinTable("keyed").randints.
+        # The sink's first draw of the round, keyed by its global index.
         ports = (
             keyed_u01(np, sk["sh"], st["node_global"][sink_idx], round_no)
             * degrees[sink_idx]
@@ -1181,7 +1181,7 @@ def luby_mis_sharded_batch(
     """Luby's MIS for a batch of seeds on a live executor (shards stay hot).
 
     Each trial is bit-identical to
-    ``luby_mis_dense(engine, seed=s, coins="keyed", ...)`` — same MIS
+    ``luby_mis_dense(engine, seed=s, ...)`` — same MIS
     membership, crash records, round counts and completion flags.
     """
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
@@ -1230,8 +1230,8 @@ def sinkless_trial_sharded(
     """Sharded trial-and-fix sinkless orientation.
 
     Bit-identical per trial to ``sinkless_trial_dense(engine, min_degree,
-    seed=s, coins="keyed", ...)``: round-1 proposal coins are keyed by
-    global slot index (both endpoints computable shard-locally), and each
+    seed=s, ...)``: round-1 proposal coins are keyed by global node and
+    port (both endpoints computable shard-locally), and each
     fix round exchanges one ``(post-set out, clear)`` bit pair per cut slot
     — enough for the receiving shard to apply cross-cut flip clears *and*
     reconstruct the partner's final bit for the sink probe.
@@ -1309,7 +1309,7 @@ def uniform_splitting_sharded(
     halo exchange: the driver replays the sequential loop's per-attempt
     ``randrange(2**31)`` seed stream, broadcasts each run hash, and ANDs
     the shard verdicts.  Per attempt this is bit-identical to
-    ``uniform_splitting_dense(engine, spec, seed=run_seed, coins="keyed")``.
+    ``uniform_splitting_dense(engine, spec, seed=run_seed)``.
     Returns the last attempt's colors with ``ok``/``attempts`` fields (the
     pipeline wrapper decides whether a failed final attempt is fatal).
     """

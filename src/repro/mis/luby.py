@@ -86,7 +86,6 @@ def luby_mis(
     max_rounds: int = 10_000,
     label: str = "luby-mis",
     method: str = "engine",
-    coins="keyed",
     engine=None,
     hooks=None,
     faults=None,
@@ -99,10 +98,8 @@ def luby_mis(
     ``method="engine"`` (default) executes on the batched CSR engine, which
     is bit-identical to the reference :func:`repro.local.network.run_local`
     for a fixed seed.  ``method="dense"`` executes the vectorized numpy
-    kernel (:func:`repro.local.dense.luby_mis_dense`): with
-    ``coins="replay"`` it reproduces the engine's outputs bit-for-bit, with
-    the default counter-based ``coins="keyed"`` it is
-    distribution-identical and O(1)-setup — the mode for n >= 10^5.  Pass a
+    kernel (:func:`repro.local.dense.luby_mis_dense`), bit-identical to the
+    engine on the same keyed coins — the mode for n >= 10^5.  Pass a
     prebuilt ``engine`` (:class:`~repro.local.engine.CSREngine` over the
     same adjacency) to amortize CSR packing across calls.
 
@@ -127,8 +124,7 @@ def luby_mis(
     node-range shards and runs the rounds shard-local across a persistent
     process pool with per-round halo exchange
     (:func:`repro.local.sharded.luby_mis_sharded`) — bit-identical per
-    trial to ``method="dense"`` (so ``coins`` must be left at its
-    ``"keyed"`` default).  ``seed`` may be an int (one
+    trial to ``method="dense"``.  ``seed`` may be an int (one
     trial) or a sequence of seeds (a batch run on hot shard workers,
     returning a list like ``dense-batched``); pass ``executor`` (a live
     :class:`~repro.local.sharded.ShardedExecutor`) to amortize
@@ -145,10 +141,6 @@ def luby_mis(
     if method == "dense-sharded":
         from repro.local.sharded import ShardedExecutor, luby_mis_sharded_batch
 
-        require(
-            coins == "keyed",
-            f"dense-sharded runs keyed coins only, got coins={coins!r}",
-        )
         seeds = [seed] if isinstance(seed, int) else list(seed)
         if executor is not None:
             results = luby_mis_sharded_batch(
@@ -179,7 +171,7 @@ def luby_mis(
             engine = CSREngine(Network(adjacency))
         seeds = list(seed)
         batch = luby_mis_batched(
-            engine, seeds, coins=coins, max_rounds=max_rounds, faults=faults
+            engine, seeds, max_rounds=max_rounds, faults=faults
         )
         require(
             bool(batch.completed.all()),
@@ -199,7 +191,7 @@ def luby_mis(
         if engine is None:
             engine = CSREngine(Network(adjacency))
         result = luby_mis_dense(
-            engine, seed=seed, coins=coins, max_rounds=max_rounds, faults=faults
+            engine, seed=seed, max_rounds=max_rounds, faults=faults
         )
         require(result.completed, "Luby MIS did not terminate within the round cap")
         if ledger is not None:

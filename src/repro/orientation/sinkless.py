@@ -200,7 +200,6 @@ def run_trial_and_fix(
     seed: int = 0,
     max_rounds: int = 200,
     method: str = "engine",
-    coins="keyed",
     engine=None,
     hooks=None,
     faults=None,
@@ -220,8 +219,7 @@ def run_trial_and_fix(
 
     ``method="dense"`` runs the vectorized numpy kernel
     (:func:`repro.local.dense.sinkless_trial_dense`): bit-identical
-    orientation and round count with ``coins="replay"``,
-    distribution-identical with the default O(1)-setup ``coins="keyed"``.
+    orientation and round count to the engine on the same keyed coins.
     Pass a prebuilt ``engine`` over the same adjacency to amortize CSR
     packing across calls.  Returns the orientation and the round count.
 
@@ -261,10 +259,6 @@ def run_trial_and_fix(
         from repro.local.dense import dense_orientation
         from repro.local.sharded import sinkless_trial_sharded
 
-        require(
-            coins == "keyed",
-            f"dense-sharded runs keyed coins only, got coins={coins!r}",
-        )
         if engine is None:
             engine = CSREngine(Network(adj))
         sharded = sinkless_trial_sharded(
@@ -278,7 +272,7 @@ def run_trial_and_fix(
         if engine is None:
             engine = CSREngine(Network(adj))
         batch = sinkless_trial_batched(
-            engine, list(seed), min_degree=min_degree, coins=coins,
+            engine, list(seed), min_degree=min_degree,
             max_rounds=max_rounds, faults=faults,
         )
         return [
@@ -291,7 +285,7 @@ def run_trial_and_fix(
         if engine is None:
             engine = CSREngine(Network(adj))
         dense = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed, coins=coins,
+            engine, min_degree=min_degree, seed=seed,
             max_rounds=max_rounds, faults=faults, strict=not recover,
         )
         if recover:
@@ -302,6 +296,10 @@ def run_trial_and_fix(
         return dense_orientation(engine, dense.out), dense.rounds
 
     net = engine.network if engine is not None else Network(adj)
+    if net.n == 0 and max_rounds >= 2:
+        # Nothing runs on an empty network, yet it is trivially sink-free:
+        # charge the proposal and first fix round, like the dense kernels.
+        return {}, 2
     algo = TrialAndFixSinkless(min_degree=min_degree)
 
     def probe(round_no: int, views) -> bool:

@@ -6,9 +6,9 @@ turns *unclean* conditions into a first-class experimental axis.  A
 schedule x validity contract — executed by :func:`run_scenario` on any of
 the three backends (reference simulator, batched CSR engine, dense numpy
 kernels) with **deterministic** fault schedules: every fault decision is a
-pure function of the trial seed, so faulty runs are reproducible and
-bit-identical between the reference and the engine (and, with replayed
-coins, the dense kernels).
+pure function of the trial seed, and so is every node coin, so faulty
+runs are reproducible and bit-identical across the reference, the engine
+and the dense kernels.
 
 Vocabulary:
 

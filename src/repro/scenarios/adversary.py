@@ -30,10 +30,11 @@ class AdversarialIDs(Perturbation):
     """Degree-rank relabeling: identifiers ordered by degree.
 
     ``order="hubs_high"`` gives the highest-degree nodes the largest uids
-    (they win every uid tie-break and own the highest-priority coin
-    streams); ``"hubs_low"`` inverts that.  Since each node's private coins
-    are a pure function of its uid, this also adversarially reassigns the
-    coin streams — a naming attack the analyses must be indifferent to.
+    (they win every uid tie-break — Luby's priority ties, and the sinkless
+    proposal round, where the higher uid's coin orients the edge);
+    ``"hubs_low"`` inverts that.  Node coins are keyed by node index, not
+    uid, so the relabeling moves only these tie-breaks — a naming attack
+    the analyses must be indifferent to.
     """
 
     def __init__(self, order: str = "hubs_high"):

@@ -521,7 +521,6 @@ def luby_mis_recovering(
     perturbations=(),
     seed: int = 0,
     method: str = "engine",
-    coins="replay",
     max_rounds: int = 10_000,
     cap: int = REPAIR_ROUND_CAP,
     engine=None,
@@ -530,8 +529,8 @@ def luby_mis_recovering(
 
     Runs the base pipeline under the bound perturbation stack on the
     requested backend (``method="engine"`` — hooked CSR engine,
-    ``method="dense"`` — masked numpy kernel, bit-identical to the engine
-    with ``coins="replay"``), then applies :func:`luby_repair`.  Returns
+    ``method="dense"`` — masked numpy kernel, bit-identical to the engine),
+    then applies :func:`luby_repair`.  Returns
     ``(mis, rounds, repair)``: the surviving nodes' MIS set, the total
     simulated rounds (base + repair tail) and the :class:`RepairResult`.
     """
@@ -547,7 +546,7 @@ def luby_mis_recovering(
         from repro.local.dense import luby_mis_dense
 
         result = luby_mis_dense(
-            engine, seed=seed, coins=coins, max_rounds=max_rounds,
+            engine, seed=seed, max_rounds=max_rounds,
             faults=DenseFaults(engine, bound),
         )
         in_mis = result.in_mis.copy()
@@ -577,7 +576,6 @@ def sinkless_recovering(
     min_degree: int = 1,
     seed: int = 0,
     method: str = "engine",
-    coins="replay",
     max_rounds: int = 400,
     cap: int = REPAIR_ROUND_CAP,
     engine=None,
@@ -605,7 +603,7 @@ def sinkless_recovering(
         from repro.local.dense import sinkless_trial_dense
 
         result = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed, coins=coins,
+            engine, min_degree=min_degree, seed=seed,
             max_rounds=max_rounds, faults=DenseFaults(engine, bound),
             strict=False,
         )
@@ -651,7 +649,6 @@ def splitting_recovering(
     perturbations=(),
     seed: int = 0,
     method: str = "engine",
-    coins="replay",
     max_attempts: int = 64,
     cap: int = REPAIR_ROUND_CAP,
     engine=None,
@@ -687,7 +684,7 @@ def splitting_recovering(
             from repro.local.dense import uniform_splitting_dense
 
             result = uniform_splitting_dense(
-                engine, spec, seed=run_seed, coins=coins, red=RED, blue=BLUE,
+                engine, spec, seed=run_seed, red=RED, blue=BLUE,
                 faults=DenseFaults(engine, attempt_bound),
             )
             colors = result.colors.astype(np.int64).copy()

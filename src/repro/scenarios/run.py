@@ -118,7 +118,6 @@ def run_scenario(
     backend: str = "engine",
     adjacency=None,
     max_rounds: Optional[int] = None,
-    coins: str = "keyed",
     max_attempts: int = 64,
     tracer=None,
     recover: bool = False,
@@ -129,10 +128,10 @@ def run_scenario(
     ``scenario`` is a registry name or a :class:`Scenario`;
     ``backend`` one of the scenario's supported executors (``reference`` —
     hooked :func:`run_local`, ``engine`` — hooked :class:`CSREngine`,
-    ``dense`` — masked numpy kernels; ``coins`` selects the dense coin
-    table, ``"replay"`` for engine-bit-identical runs).  ``adjacency``
-    overrides the default scenario graph (the perturbation stack's graph
-    rewrites are still applied on top; such runs bypass the cell cache).  ``seed`` drives both the algorithm's coins and the fault
+    ``dense`` — masked numpy kernels, bit-identical to the engine per
+    seed).  ``adjacency`` overrides the default scenario graph (the
+    perturbation stack's graph rewrites are still applied on top; such runs
+    bypass the cell cache).  ``seed`` drives both the algorithm's coins and the fault
     schedule; ``graph_seed`` only the topology.  ``max_rounds`` defaults
     per pipeline: 10_000 (luby), 400 (sinkless — every round pays an
     O(n + m) probe, and a run that has not recovered by then is recorded
@@ -196,17 +195,17 @@ def run_scenario(
     solve_start = time.perf_counter()
     if sc.pipeline == "luby":
         metrics, state = _run_luby(
-            sc, network, engine, bound, backend, seed, max_rounds, coins, layout,
+            sc, network, engine, bound, backend, seed, max_rounds, layout,
             tracer=tracer, recover=recover,
         )
     elif sc.pipeline == "sinkless":
         metrics, state = _run_sinkless(
-            sc, network, engine, bound, backend, seed, max_rounds, coins, layout,
+            sc, network, engine, bound, backend, seed, max_rounds, layout,
             tracer=tracer, recover=recover,
         )
     else:
         metrics, state = _run_splitting(
-            sc, network, engine, backend, seed, degree, coins, max_attempts,
+            sc, network, engine, backend, seed, degree, max_attempts,
             layout, tracer=tracer, recover=recover,
         )
     metrics["solve_seconds"] = time.perf_counter() - solve_start
@@ -215,9 +214,9 @@ def run_scenario(
     metrics["m"] = sum(len(a) for a in network.adjacency) // 2
     metrics["setup_seconds"] = setup_seconds
     # Split the setup tax for the analytics layer: graph build + packing
-    # (``pack_seconds``, 0.0 on a cell-cache hit) vs per-run RNG
-    # construction (``rng_seconds``, the ROADMAP's O(n) node_rng tax; the
-    # pipelines record it into metrics from their result objects).
+    # (``pack_seconds``, 0.0 on a cell-cache hit) vs per-run coin-stream
+    # construction (``rng_seconds``; the hook backends record it into
+    # metrics from their result objects, the dense kernels need none).
     metrics["pack_seconds"] = setup_seconds
     metrics.setdefault("rng_seconds", 0.0)
     if quiet is not None and quiet > 0:
@@ -243,7 +242,7 @@ def run_scenario(
     return metrics
 
 
-def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layout=None,
+def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None,
               tracer=None, recover=False):
     adjacency = network.adjacency
     edge_ok = final_edge_ok(bound)
@@ -252,7 +251,7 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, coins, layo
         from repro.scenarios.masks import DenseFaults
 
         result = luby_mis_dense(
-            engine, seed=seed, coins=coins, max_rounds=max_rounds,
+            engine, seed=seed, max_rounds=max_rounds,
             faults=DenseFaults(engine, bound, layout=layout), tracer=tracer,
         )
         alive = [not c for c in result.crashed]
@@ -359,7 +358,7 @@ def _round_one_corruption_free(b, network, layout) -> bool:
     )
 
 
-def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
+def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds,
                   layout=None, tracer=None, recover=False):
     adjacency = network.adjacency
     min_degree = sc.min_degree
@@ -390,7 +389,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
         from repro.scenarios.masks import DenseFaults
 
         result = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed, coins=coins,
+            engine, min_degree=min_degree, seed=seed,
             max_rounds=max_rounds, faults=DenseFaults(engine, bound, layout=layout),
             strict=False, tracer=tracer,
         )
@@ -481,7 +480,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds, coins,
     return metrics, state
 
 
-def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attempts,
+def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts,
                    layout=None, tracer=None, recover=False):
     adjacency = network.adjacency
     spec = UniformSplittingSpec(eps=sc.eps, min_constrained_degree=max(2, degree // 2))
@@ -503,14 +502,13 @@ def _run_splitting(sc, network, engine, backend, seed, degree, coins, max_attemp
         attempt_bound = bind_all(sc.perturbations, network, fault_seed=run_seed)
         if backend == "dense":
             result = uniform_splitting_dense(
-                engine, spec, seed=run_seed, coins=coins,
+                engine, spec, seed=run_seed,
                 faults=DenseFaults(engine, attempt_bound, layout=layout),
                 tracer=tracer,
             )
             partition = [int(c) for c in result.colors]
             alive = [not c for c in result.crashed]
             accepted = result.ok
-            rng_seconds += result.rng_seconds
         else:
             hooks = PerturbationHooks(attempt_bound)
             if tracer is not None and tracer.enabled:

@@ -2,23 +2,22 @@
 
 Every randomized algorithm in this library takes either a seed or a
 :class:`random.Random` instance.  In the LOCAL model each node flips private
-coins; we model this by deriving one child generator per node from a master
-seed, which keeps runs reproducible while preserving the independence
-structure the analyses rely on (a node's bits are a pure function of the
-master seed and its identifier, untouched by other nodes' consumption).
+coins; we model this with one counter-based SplitMix64 hash: a node's coin
+is a pure function of the master seed, the node's index, its draw number
+and the round (:class:`NodeCoins` for the simulators, :func:`keyed_u01` for
+the numpy kernels), which keeps runs reproducible while preserving the
+independence structure the analyses rely on — no node's consumption
+perturbs another's, and every backend draws the same values.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Union
+from typing import Union
 
 __all__ = [
     "ensure_rng",
-    "spawn",
-    "node_rng",
-    "CoinTable",
-    "as_coin_table",
+    "NodeCoins",
     "mix64",
     "keyed_hash53",
     "keyed_u01",
@@ -99,132 +98,37 @@ def ensure_rng(seed: SeedLike = None) -> random.Random:
     return random.Random(seed)
 
 
-def spawn(rng: random.Random, label: str) -> random.Random:
-    """Derive an independent child generator keyed by ``label``."""
-    return random.Random(f"{rng.getrandbits(64)}/{label}")
+class NodeCoins:
+    """One node's private coins, keyed like the dense kernels' draws.
 
-
-def node_rng(master_seed: int, node_id: int, salt: str = "") -> random.Random:
-    """Private coin source for one node, a pure function of seed and id."""
-    return random.Random(f"{master_seed}/{node_id}/{salt}")
-
-
-class CoinTable:
-    """Per-node coin supply for the dense (vectorized) execution backend.
-
-    The dense round kernels in :mod:`repro.local.dense` consume randomness
-    in bulk — one array of uniforms per phase instead of ``n`` individual
-    ``random.Random`` calls.  A :class:`CoinTable` abstracts where those
-    arrays come from, with two contracts:
-
-    ``kind="keyed"`` (default)
-        Every value is a pure function of ``(master seed, counter, tag)``
-        via the SplitMix64 chain of :func:`keyed_u01` — no stream, no
-        consumption order, O(1) setup (building ``n`` sha512-seeded
-        :func:`node_rng` instances, ~9 µs each, would dominate a run at
-        n >= 10^5).  The ``tag`` argument the dense kernels pass (the round
-        number) becomes part of the key, so the *same* value is produced no
-        matter which call draws it, or whether it is drawn at all.  This is
-        the contract that makes trial-batched and sharded kernel runs
-        **bit-identical** to independent sequential runs: those kernels
-        recompute exactly these hashes at whatever (trial, node, round)
-        triples are still active.  Distribution-identical to the engine
-        (same independent-uniform law), but not bit-identical to it;
-        validity is covered by the statistical tests.
-
-    ``kind="replay"``
-        Coins are replayed from the exact per-node :func:`node_rng` streams
-        the reference simulator and :class:`~repro.local.engine.CSREngine`
-        consume, one stream per node keyed by the node's uid.  A dense
-        kernel that draws the same number of coins per node per phase as the
-        engine's hook calls therefore produces **bit-identical** outputs.
-        Setup is O(n) — this mode exists for equivalence testing and exact
-        cross-checks, not speed.
-
-    Kernels must route *every* random decision through this table (uniform
-    coins via :meth:`uniforms`/:meth:`uniform_runs`, port choices via
-    :meth:`randints`) so the replay contract stays exact, and must pass
-    their round number as ``tag`` so the keyed contract stays pure (replay
-    ignores the tag).
+    The ``j``-th draw node ``index`` makes in round ``r`` is
+    ``keyed_u01(mix64(seed), index + j*n, r)`` — a pure function of
+    ``(seed, index, j, r)``, so no node's consumption perturbs another's
+    and a numpy kernel can recompute any draw without replaying a stream.
+    ``clock`` is a one-element list shared by every node of a run: the
+    executor writes the current round into ``clock[0]`` (1 during ``init``,
+    so draws made there key as round 1), and each stream restarts ``j`` at
+    0 the first time it draws in a new round.  ``randrange(k)`` is
+    ``floor(u * k)``, the kernels' port-choice mapping.
     """
 
-    KINDS = ("keyed", "replay")
+    __slots__ = ("_clock", "_base", "_index", "_n", "_round", "_j")
 
-    def __init__(self, seed: int, ids: Sequence[int], kind: str = "keyed"):
-        import numpy as np  # lazy: the pure-Python paths never need numpy
+    def __init__(self, seed_hash: int, index: int, n: int, clock: list):
+        self._clock = clock
+        self._base = (seed_hash + _SM_GAMMA) & _MASK64  # keyed_hash53's seed term
+        self._index = index
+        self._n = n
+        self._round = 0
+        self._j = 0
 
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown coin table kind {kind!r}; expected one of {self.KINDS}")
-        self._np = np
-        self.kind = kind
-        self.seed = seed
-        self._streams = None
-        self._seed_hash = None
-        if kind == "replay":
-            self._streams = [node_rng(seed, uid) for uid in ids]
-        else:
-            self._seed_hash = mix64(seed)
+    def random(self) -> float:
+        r = self._clock[0]
+        if r != self._round:
+            self._round, self._j = r, 0
+        h = mix64(self._base ^ (self._index + self._j * self._n))
+        self._j += 1
+        return (mix64(((h + _SM_GAMMA) & _MASK64) ^ r) >> 11) * _TO_U01
 
-    def uniforms(self, idx, tag: int = 0) -> "object":
-        """One uniform in [0, 1) per node index in ``idx`` (float64 array).
-
-        In replay mode the value for node ``i`` is the next ``random()`` of
-        that node's own stream; in keyed mode it is the pure hash of
-        ``(seed, i, tag)``.
-        """
-        np = self._np
-        idx = np.asarray(idx, dtype=np.int64)
-        if self._seed_hash is not None:
-            return keyed_u01(np, self._seed_hash, idx, tag)
-        streams = self._streams
-        return np.array([streams[i].random() for i in idx], dtype=np.float64)
-
-    def uniform_runs(self, idx, counts, tag: int = 0) -> "object":
-        """``counts[k]`` consecutive uniforms for node ``idx[k]``, concatenated.
-
-        Matches a per-node loop that draws ``counts[k]`` values in a row from
-        node ``idx[k]``'s stream (e.g. one coin per port in port order).  In
-        keyed mode the counter is the *position within the call* — a kernel
-        drawing one coin per CSR slot over all nodes therefore keys each
-        value by its slot index, which is what the batched kernels replay.
-        """
-        np = self._np
-        idx = np.asarray(idx, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        total = int(counts.sum())
-        if self._seed_hash is not None:
-            return keyed_u01(np, self._seed_hash, np.arange(total, dtype=np.int64), tag)
-        out = np.empty(total, dtype=np.float64)
-        k = 0
-        streams = self._streams
-        for i, c in zip(idx, counts):
-            s = streams[i]
-            for _ in range(c):
-                out[k] = s.random()
-                k += 1
-        return out
-
-    def randints(self, idx, bounds, tag: int = 0) -> "object":
-        """One integer in ``[0, bounds[k])`` per node index in ``idx``.
-
-        Replay mode calls each node's ``randrange`` (bit-identical to the
-        engine's port choice); keyed mode maps uniforms through ``floor``
-        (the float rounding bias at these bound sizes is < 2^-40 — far
-        below anything the statistical tests can see).
-        """
-        np = self._np
-        idx = np.asarray(idx, dtype=np.int64)
-        bounds = np.asarray(bounds, dtype=np.int64)
-        if self._seed_hash is not None:
-            return (keyed_u01(np, self._seed_hash, idx, tag) * bounds).astype(np.int64)
-        streams = self._streams
-        return np.array(
-            [streams[i].randrange(b) for i, b in zip(idx, bounds)], dtype=np.int64
-        )
-
-
-def as_coin_table(coins, seed: int, ids: Sequence[int]) -> CoinTable:
-    """Coerce ``coins`` (a kind string or an existing table) to a CoinTable."""
-    if isinstance(coins, CoinTable):
-        return coins
-    return CoinTable(seed, ids, kind=coins)
+    def randrange(self, k: int) -> int:
+        return int(self.random() * k)

@@ -354,7 +354,6 @@ def certify_scenario(
     backend: str = "engine",
     recover: bool = True,
     graph_seed: int = 1,
-    coins: str = "replay",
     strict: bool = True,
 ) -> Dict[str, Union[int, str, List[str]]]:
     """Run one scenario trial and certify its contract verdicts exactly.
@@ -382,7 +381,7 @@ def certify_scenario(
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
     metrics, state = run_scenario(
         sc, n=n, seed=seed, graph_seed=graph_seed, backend=backend,
-        coins=coins, recover=recover, return_state=True,
+        recover=recover, return_state=True,
     )
     adjacency = state["adjacency"]
     alive = state["alive"]

@@ -81,3 +81,16 @@ class TestShatteringLocal:
         local_rate = local_unsat / (trials * inst.n_left)
         central_rate = central_unsat / (trials * inst.n_left)
         assert abs(local_rate - central_rate) < 0.1
+
+    def test_central_shortcut_draws_the_simulator_coins(self):
+        """``shatter`` keys each variable's coin like the simulator's init
+        draw, so it equals the simulator run seeded with its master seed."""
+        import random
+
+        inst = random_left_regular(40, 50, 8, seed=21)
+        for seed in range(4):
+            central = shatter(inst, seed=seed)
+            master = random.Random(seed).getrandbits(63)
+            coloring, satisfied, _ = run_shattering_local(inst, seed=master)
+            assert central.partial == coloring
+            assert central.unsatisfied == [u for u, ok in enumerate(satisfied) if not ok]

@@ -1,13 +1,12 @@
-"""Dense-backend tests: replay bit-identity and keyed statistical validity.
+"""Dense-backend tests: engine bit-identity and statistical validity.
 
 Two contracts from ``repro/local/dense.py``:
 
-* with ``coins="replay"`` every dense kernel is **bit-identical** to the
-  CSR engine (itself bit-identical to ``run_local``) — same outputs and
-  round counts for any graph and seed; property-tested here on random
+* every dense kernel is **bit-identical** to the CSR engine (itself
+  bit-identical to ``run_local``) on the same keyed coins — same outputs
+  and round counts for any graph and seed; property-tested here on random
   graphs at n <= 200 across seeds;
-* with the default ``coins="keyed"`` runs are **distribution-identical**:
-  every output must satisfy the algorithm's validity predicate
+* every output must satisfy the algorithm's validity predicate
   (independence + maximality, sinklessness, splitting discrepancy bounds),
   checked across many seeds.
 """
@@ -42,8 +41,8 @@ def engine_mis(engine, seed, max_rounds=10_000):
     return [bool(v.state.get("in_mis")) for v in result.views], result.rounds, result.completed
 
 
-class TestLubyReplayBitIdentity:
-    """dense(replay) == engine == run_local, property-tested at n <= 200."""
+class TestLubyEngineIdentity:
+    """dense == engine == run_local, property-tested at n <= 200."""
 
     def test_random_sparse_graphs(self):
         for trial in range(8):
@@ -54,7 +53,7 @@ class TestLubyReplayBitIdentity:
             engine = CSREngine(net)
             for seed in (0, 1, 7):
                 mis, rounds, completed = engine_mis(engine, seed)
-                dense = luby_mis_dense(engine, seed=seed, coins="replay")
+                dense = luby_mis_dense(engine, seed=seed)
                 assert dense.rounds == rounds
                 assert dense.completed == completed
                 assert [bool(x) for x in dense.in_mis] == mis
@@ -73,7 +72,7 @@ class TestLubyReplayBitIdentity:
             engine = CSREngine(net)
             for seed in (3, 11):
                 mis, rounds, _ = engine_mis(engine, seed)
-                dense = luby_mis_dense(engine, seed=seed, coins="replay")
+                dense = luby_mis_dense(engine, seed=seed)
                 assert dense.rounds == rounds
                 assert [bool(x) for x in dense.in_mis] == mis
 
@@ -83,14 +82,14 @@ class TestLubyReplayBitIdentity:
         engine = CSREngine(Network(adj))
         for seed in (0, 5):
             mis, rounds, _ = engine_mis(engine, seed)
-            dense = luby_mis_dense(engine, seed=seed, coins="replay")
+            dense = luby_mis_dense(engine, seed=seed)
             assert dense.rounds == rounds and [bool(x) for x in dense.in_mis] == mis
 
     def test_edgeless_and_tiny_graphs(self):
         for adj in ([], [[]], [[], []], [[1], [0]]):
             engine = CSREngine(Network(adj))
             mis, rounds, completed = engine_mis(engine, 0)
-            dense = luby_mis_dense(engine, seed=0, coins="replay")
+            dense = luby_mis_dense(engine, seed=0)
             assert dense.rounds == rounds and dense.completed == completed
             assert [bool(x) for x in dense.in_mis] == mis
 
@@ -107,7 +106,7 @@ class TestLubyReplayBitIdentity:
             engine = CSREngine(Network(adj))
             for seed in (0, 1, 2, 5):
                 mis, rounds, completed = engine_mis(engine, seed)
-                dense = luby_mis_dense(engine, seed=seed, coins="replay")
+                dense = luby_mis_dense(engine, seed=seed)
                 assert [bool(x) for x in dense.in_mis] == mis, (adj, seed)
                 assert dense.rounds == rounds and dense.completed == completed
                 assert is_mis(adj, {int(i) for i in dense.in_mis.nonzero()[0]})
@@ -117,7 +116,7 @@ class TestLubyReplayBitIdentity:
         engine = CSREngine(Network(adj))
         for cap in (0, 1, 2, 3):
             mis, rounds, completed = engine_mis(engine, 1, max_rounds=cap)
-            dense = luby_mis_dense(engine, seed=1, coins="replay", max_rounds=cap)
+            dense = luby_mis_dense(engine, seed=1, max_rounds=cap)
             assert dense.rounds == rounds
             assert dense.completed == completed
 
@@ -125,18 +124,18 @@ class TestLubyReplayBitIdentity:
         adj = random_sparse_graph(80, 5, seed=4)
         for seed in (0, 2):
             assert luby_mis(adj, seed=seed) == luby_mis(
-                adj, seed=seed, method="dense", coins="replay"
+                adj, seed=seed, method="dense"
             )
 
 
-class TestSinklessReplayBitIdentity:
+class TestSinklessEngineIdentity:
     def test_regular_graphs(self):
         for trial in range(4):
             adj = configuration_model_regular(50, 4, seed=trial)
             engine = CSREngine(Network(adj))
             for seed in (0, 3):
                 orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=seed)
-                dense = sinkless_trial_dense(engine, min_degree=2, seed=seed, coins="replay")
+                dense = sinkless_trial_dense(engine, min_degree=2, seed=seed)
                 assert dense.rounds == rounds
                 assert dense_orientation(engine, dense.out) == orientation
 
@@ -149,7 +148,7 @@ class TestSinklessReplayBitIdentity:
             engine = CSREngine(Network(adj))
             for seed in (1, 4):
                 orientation, rounds = run_trial_and_fix(adj, min_degree=1, seed=seed)
-                dense = sinkless_trial_dense(engine, min_degree=1, seed=seed, coins="replay")
+                dense = sinkless_trial_dense(engine, min_degree=1, seed=seed)
                 assert dense.rounds == rounds
                 assert dense_orientation(engine, dense.out) == orientation
 
@@ -157,7 +156,7 @@ class TestSinklessReplayBitIdentity:
         adj = configuration_model_regular(40, 4, seed=5)
         for seed in (0, 2):
             assert run_trial_and_fix(adj, min_degree=2, seed=seed) == run_trial_and_fix(
-                adj, min_degree=2, seed=seed, method="dense", coins="replay"
+                adj, min_degree=2, seed=seed, method="dense"
             )
 
     def test_multi_edge_rejected(self):
@@ -172,7 +171,7 @@ class TestSinklessReplayBitIdentity:
         engine = CSREngine(Network(adj))
         for seed in (0, 1, 3):
             orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=seed)
-            dense = sinkless_trial_dense(engine, min_degree=2, seed=seed, coins="replay")
+            dense = sinkless_trial_dense(engine, min_degree=2, seed=seed)
             assert dense.rounds == rounds
             assert dense_orientation(engine, dense.out) == orientation
 
@@ -184,13 +183,13 @@ class TestSinklessReplayBitIdentity:
             sinkless_trial_dense(engine, min_degree=2, seed=0, max_rounds=1)
 
 
-class TestSplittingReplayBitIdentity:
+class TestSplittingEngineIdentity:
     def test_partition_matches_local_method(self):
         adj = random_sparse_graph(200, 40.0, seed=3)
         spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=15)
         for seed in (0, 1, 5):
             local = uniform_splitting(adj, spec, method="local", seed=seed)
-            dense = uniform_splitting(adj, spec, method="dense", seed=seed, coins="replay")
+            dense = uniform_splitting(adj, spec, method="dense", seed=seed)
             assert local == dense
 
     def test_trailing_isolated_nodes(self):
@@ -202,7 +201,7 @@ class TestSplittingReplayBitIdentity:
         spec = UniformSplittingSpec(eps=0.45, min_constrained_degree=2)
         for run_seed in range(6):
             result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed)
-            dense = uniform_splitting_dense(engine, spec, seed=run_seed, coins="replay")
+            dense = uniform_splitting_dense(engine, spec, seed=run_seed)
             assert [int(c) for c in dense.colors] == [c for c, _ in result.outputs()]
             assert dense.ok == all(ok for _, ok in result.outputs())
 
@@ -214,7 +213,7 @@ class TestSplittingReplayBitIdentity:
         spec = UniformSplittingSpec(eps=0.3, min_constrained_degree=10)
         for run_seed in (0, 1, 2, 99):
             result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed)
-            dense = uniform_splitting_dense(engine, spec, seed=run_seed, coins="replay")
+            dense = uniform_splitting_dense(engine, spec, seed=run_seed)
             assert [int(c) for c in dense.colors] == [c for c, _ in result.outputs()]
             assert dense.ok == all(ok for _, ok in result.outputs())
             assert dense.rounds == result.rounds == 1

@@ -3,12 +3,12 @@
 The contract under test (``repro/local/dense.py``): a batched run over
 seeds ``s1..sk`` is **bit-identical** — MIS membership, orientation slot
 states, splitting colors, round counts, completion flags and crash
-records — to ``k`` independent sequential ``coins="keyed"`` runs of the
-same kernel, because every coin is a pure hash of ``(seed, counter,
-round)`` and the batched kernels recompute exactly those hashes at
-whatever (trial, node, round) triples are still active.  Property-tested
-on random graphs, including a faulty scenario, ragged
-termination, and mid-phase ``max_rounds`` caps.
+records — to ``k`` independent sequential runs of the same kernel,
+because every coin is a pure hash of ``(seed, counter, round)`` and the
+batched kernels recompute exactly those hashes at whatever (trial, node,
+round) triples are still active.  Property-tested on random graphs,
+including a faulty scenario, ragged termination, and mid-phase
+``max_rounds`` caps.
 """
 
 import pytest
@@ -32,7 +32,7 @@ from repro.local.dense import (  # noqa: E402
 from repro.scenarios.base import bind_all  # noqa: E402
 from repro.scenarios.faults import CrashNodes, IIDMessageDrop  # noqa: E402
 from repro.scenarios.masks import DenseFaults  # noqa: E402
-from repro.utils.rng import CoinTable, ensure_rng  # noqa: E402
+from repro.utils.rng import ensure_rng, keyed_u01, mix64  # noqa: E402
 
 SEEDS = list(range(10))
 
@@ -47,7 +47,7 @@ def regular_engine(n=120, deg=4, gseed=11):
 
 def assert_luby_identical(engine, seeds, batch, **kwargs):
     for t, s in enumerate(seeds):
-        seq = luby_mis_dense(engine, seed=s, coins="keyed", **kwargs)
+        seq = luby_mis_dense(engine, seed=s, **kwargs)
         assert np.array_equal(batch.in_mis[t], seq.in_mis)
         assert np.array_equal(batch.crashed[t], seq.crashed)
         assert int(batch.rounds[t]) == seq.rounds
@@ -87,14 +87,9 @@ class TestLubyBatchedBitIdentity:
         engine = sparse_engine(n=80, deg=4, gseed=2)
         batch = luby_mis_batched(engine, [0, 1])
         one = batch.trial(1)
-        seq = luby_mis_dense(engine, seed=1, coins="keyed")
+        seq = luby_mis_dense(engine, seed=1)
         assert np.array_equal(one.in_mis, seq.in_mis)
         assert one.rounds == seq.rounds
-
-    def test_replay_coins_rejected(self):
-        engine = sparse_engine(n=40, deg=3, gseed=1)
-        with pytest.raises(ValueError):
-            luby_mis_batched(engine, [0, 1], coins="replay")
 
 
 class TestLubyBatchedFaulty:
@@ -121,7 +116,7 @@ class TestSinklessBatchedBitIdentity:
         engine = regular_engine()
         batch = sinkless_trial_batched(engine, SEEDS, min_degree=3)
         for t, s in enumerate(SEEDS):
-            seq = sinkless_trial_dense(engine, min_degree=3, seed=s, coins="keyed")
+            seq = sinkless_trial_dense(engine, min_degree=3, seed=s)
             assert np.array_equal(batch.out[t], seq.out)
             assert int(batch.rounds[t]) == seq.rounds
             assert bool(batch.completed[t]) == seq.completed
@@ -138,7 +133,7 @@ class TestSinklessBatchedBitIdentity:
         )
         for t, s in enumerate(SEEDS):
             seq = sinkless_trial_dense(
-                engine, min_degree=3, seed=s, coins="keyed", faults=faults,
+                engine, min_degree=3, seed=s, faults=faults,
                 strict=False,
             )
             assert np.array_equal(batch.out[t], seq.out)
@@ -158,7 +153,7 @@ class TestSplittingBatchedBitIdentity:
         for attempt in range(1, max_attempts + 1):
             run_seed = rng.randrange(2**31)
             dense = uniform_splitting_dense(
-                engine, spec, seed=run_seed, coins="keyed", faults=faults
+                engine, spec, seed=run_seed, faults=faults
             )
             if dense.ok:
                 return dense, attempt
@@ -200,48 +195,32 @@ class TestSplittingBatchedBitIdentity:
             assert np.array_equal(batch.crashed[t], seq.crashed)
 
 
-class TestKeyedCoinTable:
-    """The keyed kind is a pure function of (seed, counter, tag)."""
+class TestKeyedCoins:
+    """Every coin is a pure function of (seed, counter, round)."""
 
     def test_purity_and_order_insensitivity(self):
-        table = CoinTable(42, range(10), kind="keyed")
+        sh = mix64(42)
         idx = np.array([3, 1, 4], dtype=np.int64)
-        a = table.uniforms(idx, tag=5)
-        b = table.uniforms(idx, tag=5)
+        a = keyed_u01(np, sh, idx, 5)
+        b = keyed_u01(np, sh, idx, 5)
         assert np.array_equal(a, b)  # drawing twice changes nothing
         # per-element values don't depend on which call draws them
-        single = table.uniforms(np.array([1], dtype=np.int64), tag=5)
+        single = keyed_u01(np, sh, np.array([1], dtype=np.int64), 5)
         assert a[1] == single[0]
 
     def test_tag_and_seed_dependence(self):
         idx = np.arange(32, dtype=np.int64)
-        t42 = CoinTable(42, range(32), kind="keyed")
-        assert not np.array_equal(t42.uniforms(idx, tag=1), t42.uniforms(idx, tag=2))
-        t43 = CoinTable(43, range(32), kind="keyed")
-        assert not np.array_equal(t42.uniforms(idx, tag=1), t43.uniforms(idx, tag=1))
+        s42, s43 = mix64(42), mix64(43)
+        assert not np.array_equal(keyed_u01(np, s42, idx, 1), keyed_u01(np, s42, idx, 2))
+        assert not np.array_equal(keyed_u01(np, s42, idx, 1), keyed_u01(np, s43, idx, 1))
 
     def test_values_are_uniform_range(self):
-        table = CoinTable(7, range(1000), kind="keyed")
-        u = table.uniforms(np.arange(1000, dtype=np.int64), tag=1)
+        u = keyed_u01(np, mix64(7), np.arange(1000, dtype=np.int64), 1)
         assert ((u >= 0) & (u < 1)).all()
         assert 0.4 < u.mean() < 0.6
 
     def test_randints_respect_bounds(self):
-        table = CoinTable(7, range(100), kind="keyed")
         bounds = np.arange(1, 101, dtype=np.int64)
-        draws = table.randints(np.arange(100, dtype=np.int64), bounds, tag=3)
+        u = keyed_u01(np, mix64(7), np.arange(100, dtype=np.int64), 3)
+        draws = (u * bounds).astype(np.int64)
         assert ((draws >= 0) & (draws < bounds)).all()
-
-    def test_uniform_runs_keyed_by_call_position(self):
-        table = CoinTable(9, range(10), kind="keyed")
-        counts = np.array([2, 3, 1], dtype=np.int64)
-        full = table.uniform_runs(np.array([0, 1, 2]), counts, tag=1)
-        assert full.shape[0] == 6
-        again = table.uniform_runs(np.array([0, 1, 2]), counts, tag=1)
-        assert np.array_equal(full, again)
-
-    def test_replay_ignores_tag(self):
-        idx = np.arange(8, dtype=np.int64)
-        a = CoinTable(1, range(8), kind="replay").uniforms(idx, tag=1)
-        b = CoinTable(1, range(8), kind="replay").uniforms(idx, tag=9)
-        assert np.array_equal(a, b)

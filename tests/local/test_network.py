@@ -65,8 +65,8 @@ class TestNetwork:
             Network([[5]])
 
     # Self-loops used to run: luby_mis([[0, 1], [0]]) gave ({1}, 4) on the
-    # engine but ({0}, 2) on dense replay, and luby_mis([[0]]) hit the
-    # engine's round cap while dense returned ({0}, 2).
+    # engine but ({0}, 2) on dense, and luby_mis([[0]]) hit the engine's
+    # round cap while dense returned ({0}, 2).
     @pytest.mark.parametrize("adj", [[[0, 1], [0]], [[0]]], ids=["loop-and-edge", "lone-loop"])
     @pytest.mark.parametrize(
         "method", ["engine", "dense", "dense-batched", "dense-sharded"]
@@ -74,10 +74,8 @@ class TestNetwork:
     def test_rejects_self_loop_on_every_method(self, adj, method):
         from repro.mis.luby import luby_mis
 
-        # The batched and sharded kernels only draw keyed coins.
-        coins = "keyed" if method.startswith("dense-") else "replay"
         with pytest.raises(ValueError, match="self-loop"):
-            luby_mis(adj, seed=0, method=method, coins=coins)
+            luby_mis(adj, seed=0, method=method)
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,14 @@
 """Sharded CSR execution (`repro.local.sharded`).
 
 The contract under test is *bit-identity*: for any shard plan, a sharded
-trial must reproduce the single-process ``coins="keyed"`` dense kernel
-exactly — MIS membership / orientation bits / colors, round counts,
-completion flags and crash records — because shard workers recompute
-keyed coins from global node/slot indices and exchange only boundary
-state.  Most cases run the executor inline (``workers=0``: same step
-functions and halo exchange, no pool) so the suite stays fast on 1-CPU
-boxes; a handful run real worker processes to cover the shared-memory
-transport, the pickle fallback and the kill-and-heal replay path.
+trial must reproduce the single-process dense kernel exactly — MIS
+membership / orientation bits / colors, round counts, completion flags and
+crash records — because shard workers recompute keyed coins from global
+node indices and exchange only boundary state.  Most cases run the
+executor inline (``workers=0``: same step functions and halo exchange, no
+pool) so the suite stays fast on 1-CPU boxes; a handful run real worker
+processes to cover the shared-memory transport, the pickle fallback and
+the kill-and-heal replay path.
 """
 
 import pytest
@@ -68,13 +68,13 @@ class TestLubyBitIdentity:
     def test_shard_counts(self):
         engine = engine_of(random_sparse_graph(150, 8, seed=1))
         for seed in range(3):
-            reference = luby_mis_dense(engine, seed=seed, coins="keyed")
+            reference = luby_mis_dense(engine, seed=seed)
             for shards in SHARD_COUNTS:
                 assert_luby_matches(engine, seed, reference, shards=shards)
 
     def test_uneven_explicit_bounds(self):
         engine = engine_of(random_sparse_graph(120, 10, seed=2))
-        reference = luby_mis_dense(engine, seed=5, coins="keyed")
+        reference = luby_mis_dense(engine, seed=5)
         with ShardedExecutor(engine, bounds=[3, 7, 110], workers=0) as ex:
             result = luby_mis_sharded(engine, seed=5, executor=ex)
         assert result.rounds == reference.rounds
@@ -83,14 +83,14 @@ class TestLubyBitIdentity:
     def test_multigraph(self):
         engine = engine_of(multigraph())
         for shards in SHARD_COUNTS:
-            reference = luby_mis_dense(engine, seed=9, coins="keyed")
+            reference = luby_mis_dense(engine, seed=9)
             assert_luby_matches(engine, 9, reference, shards=shards)
 
     @pytest.mark.parametrize("max_rounds", [0, 1, 2, 3, 5])
     def test_round_caps_freeze_identically(self, max_rounds):
         engine = engine_of(random_sparse_graph(100, 12, seed=4))
         reference = luby_mis_dense(
-            engine, seed=1, coins="keyed", max_rounds=max_rounds
+            engine, seed=1, max_rounds=max_rounds
         )
         assert_luby_matches(engine, 1, reference, shards=3, max_rounds=max_rounds)
 
@@ -108,7 +108,7 @@ class TestFaultyBitIdentity:
     def test_luby_under_fault_stack(self):
         engine = engine_of(random_sparse_graph(150, 8, seed=6))
         reference = luby_mis_dense(
-            engine, seed=2, coins="keyed", faults=self.faults(engine)
+            engine, seed=2, faults=self.faults(engine)
         )
         assert reference.crashed.any()
         for shards in SHARD_COUNTS:
@@ -121,7 +121,7 @@ class TestFaultyBitIdentity:
         faults = (IIDMessageDrop(p=0.1, from_round=1, until_round=3),)
         bound = bind_all(faults, engine.network, fault_seed=3)
         reference = sinkless_trial_dense(
-            engine, min_degree=2, seed=1, coins="keyed",
+            engine, min_degree=2, seed=1,
             faults=DenseFaults(engine, bound),
         )
         for shards in SHARD_COUNTS:
@@ -147,7 +147,7 @@ class TestFaultyBitIdentity:
         for _ in range(result.attempts):
             run_seed = rng.randrange(2**31)
         reference = uniform_splitting_dense(
-            engine, spec, seed=run_seed, coins="keyed",
+            engine, spec, seed=run_seed,
             faults=DenseFaults(engine, bound),
         )
         assert (result.colors == reference.colors).all()
@@ -160,7 +160,7 @@ class TestSinklessAndSplitting:
         engine = engine_of(random_regular_graph(80, 4, seed=10))
         for seed in range(2):
             reference = sinkless_trial_dense(
-                engine, min_degree=1, seed=seed, coins="keyed"
+                engine, min_degree=1, seed=seed
             )
             for shards in SHARD_COUNTS:
                 result = sinkless_trial_sharded(
@@ -187,7 +187,7 @@ class TestSinklessAndSplitting:
             for _ in range(result.attempts):
                 run_seed = rng.randrange(2**31)
             reference = uniform_splitting_dense(
-                engine, spec, seed=run_seed, coins="keyed"
+                engine, spec, seed=run_seed
             )
             assert (result.colors == reference.colors).all()
 
@@ -202,7 +202,7 @@ class TestShardPlans:
 
     def test_more_shards_than_nodes(self):
         engine = engine_of([[1], [0], [3], [2]])
-        reference = luby_mis_dense(engine, seed=0, coins="keyed")
+        reference = luby_mis_dense(engine, seed=0)
         assert_luby_matches(engine, 0, reference, shards=19)
 
     def test_max_shard_slots_sizes_the_plan(self):
@@ -221,7 +221,7 @@ class TestShardPlans:
     def test_isolated_nodes_and_singleton_components(self):
         adj = [[], [2], [1], [], [5], [4], []]
         engine = engine_of(adj)
-        reference = luby_mis_dense(engine, seed=0, coins="keyed")
+        reference = luby_mis_dense(engine, seed=0)
         for shards in SHARD_COUNTS:
             assert_luby_matches(engine, 0, reference, shards=shards)
 
@@ -231,21 +231,21 @@ class TestRealWorkerPool:
 
     def test_shm_transport(self):
         engine = engine_of(random_sparse_graph(300, 10, seed=14))
-        reference = luby_mis_dense(engine, seed=1, coins="keyed")
+        reference = luby_mis_dense(engine, seed=1)
         result = luby_mis_sharded(engine, seed=1, shards=2)
         assert result.rounds == reference.rounds
         assert (result.in_mis == reference.in_mis).all()
 
     def test_pickle_transport(self):
         engine = engine_of(random_sparse_graph(300, 10, seed=14))
-        reference = luby_mis_dense(engine, seed=1, coins="keyed")
+        reference = luby_mis_dense(engine, seed=1)
         result = luby_mis_sharded(engine, seed=1, shards=2, transport="pickle")
         assert result.rounds == reference.rounds
         assert (result.in_mis == reference.in_mis).all()
 
     def test_killed_worker_heals_and_stays_bit_identical(self):
         engine = engine_of(random_sparse_graph(200, 8, seed=15))
-        reference = luby_mis_dense(engine, seed=4, coins="keyed")
+        reference = luby_mis_dense(engine, seed=4)
         with ShardedExecutor(engine, 2) as ex:
             first = luby_mis_sharded(engine, seed=4, executor=ex)
             ex.inject_worker_failure(0)
@@ -260,7 +260,7 @@ class TestRealWorkerPool:
         with ShardedExecutor(engine, 2) as ex:
             partition = ex.plan.partition_seconds
             for seed in range(3):
-                reference = luby_mis_dense(engine, seed=seed, coins="keyed")
+                reference = luby_mis_dense(engine, seed=seed)
                 result = luby_mis_sharded(engine, seed=seed, executor=ex)
                 assert (result.in_mis == reference.in_mis).all()
                 assert result.partition_seconds == partition
@@ -276,18 +276,12 @@ class TestPipelineDispatch:
         adj = random_sparse_graph(150, 8, seed=17)
         mis, rounds = luby_mis(adj, seed=1, method="dense-sharded", shards=2)
         engine = engine_of(adj)
-        reference = luby_mis_dense(engine, seed=1, coins="keyed")
+        reference = luby_mis_dense(engine, seed=1)
         assert mis == {int(i) for i in reference.in_mis.nonzero()[0]}
         assert rounds == reference.rounds
         assert is_mis(adj, mis)
         batch = luby_mis(adj, seed=[0, 1], method="dense-sharded", shards=2)
         assert batch[1] == (mis, rounds)
-
-    def test_luby_mis_rejects_replay_coins(self):
-        from repro.mis.luby import luby_mis
-
-        with pytest.raises(Exception, match="keyed"):
-            luby_mis([[1], [0]], method="dense-sharded", coins="replay")
 
     def test_sinkless_dispatch(self):
         from repro.orientation.sinkless import run_trial_and_fix
@@ -297,8 +291,7 @@ class TestPipelineDispatch:
             adj, min_degree=1, seed=1, method="dense-sharded", shards=2
         )
         engine = engine_of(adj)
-        reference = sinkless_trial_dense(engine, min_degree=1, seed=1,
-                                         coins="keyed")
+        reference = sinkless_trial_dense(engine, min_degree=1, seed=1)
         assert rounds == reference.rounds
 
     def test_splitting_dispatch(self):
@@ -311,16 +304,69 @@ class TestPipelineDispatch:
         assert len(colors) == 200 and set(colors) <= {0, 1}
 
 
+#: Degenerate inputs every pipeline must handle identically on every method.
+DEGENERATE = {
+    "empty": [],
+    "all-isolated": [[], [], []],
+    "trailing-isolated": [[1, 2], [0, 2], [0, 1], [], []],
+    "star": [[1, 2, 3, 4, 5], [0], [0], [0], [0], [0]],
+}
+#: Multi-edges: Luby and splitting only (the sinkless kernels need simple graphs).
+MULTI = {"multi-edge": [[1, 1, 2], [0, 0, 2], [0, 1]]}
+
+
+def reference_luby(adj, seed):
+    from repro.local import run_local
+    from repro.mis.luby import LubyMIS
+
+    result = run_local(Network(adj), LubyMIS(), seed=seed)
+    return {i for i, v in enumerate(result.views) if v.state.get("in_mis")}, result.rounds
+
+
+def reference_trial_and_fix(adj, min_degree, seed, max_rounds=200):
+    """``run_trial_and_fix``'s probe on ``run_local``: rerun under growing
+    caps (the coins are pure, so every rerun replays the same prefix)."""
+    from repro.local import run_local
+    from repro.orientation.sinkless import TrialAndFixSinkless, sinks
+    from repro.scenarios.contracts import orientation_from_views
+
+    for cap in range(2, max_rounds + 1):
+        result = run_local(Network(adj), TrialAndFixSinkless(min_degree), max_rounds=cap,
+                           seed=seed)
+        orientation = orientation_from_views(adj, result.views)
+        if not sinks(adj, orientation, min_degree):
+            return orientation, cap
+    raise RuntimeError("no sinkless orientation")
+
+
+def reference_splitting(adj, spec, seed, max_attempts=64):
+    """``uniform_splitting``'s Las-Vegas loop on ``run_local``."""
+    from repro.apps.splitting import ZeroRoundSplitting
+    from repro.local import run_local
+
+    rng = ensure_rng(seed)
+    for _ in range(max_attempts):
+        result = run_local(Network(adj), ZeroRoundSplitting(spec), max_rounds=1,
+                           seed=rng.randrange(2**31))
+        if all(ok for _, ok in result.outputs()):
+            return [color for color, _ in result.outputs()]
+    raise RuntimeError("no splitting")
+
+
 class TestDefaultCoinsAgreeAcrossDenseMethods:
-    """With no ``coins=`` argument, ``method="dense"`` draws the keyed coins
-    that ``dense-batched`` and ``dense-sharded`` reproduce, seed by seed."""
+    """One coin contract: the reference simulator, the engine, ``dense``,
+    ``dense-batched`` and ``dense-sharded`` return the same output per seed."""
 
     SEEDS = [0, 1, 2]
 
-    def test_luby_mis(self):
+    @pytest.mark.parametrize(
+        "adj",
+        [random_sparse_graph(150, 8, seed=31), *DEGENERATE.values(), *MULTI.values()],
+        ids=["sparse", *DEGENERATE, *MULTI],
+    )
+    def test_luby_mis(self, adj):
         from repro.mis.luby import luby_mis
 
-        adj = random_sparse_graph(150, 8, seed=31)
         engine = engine_of(adj)
         dense = [luby_mis(adj, seed=s, method="dense", engine=engine) for s in self.SEEDS]
         batched = luby_mis(adj, seed=self.SEEDS, method="dense-batched", engine=engine)
@@ -329,15 +375,22 @@ class TestDefaultCoinsAgreeAcrossDenseMethods:
                 luby_mis(adj, seed=s, method="dense-sharded", engine=engine, executor=ex)
                 for s in self.SEEDS
             ]
+        assert [luby_mis(adj, seed=s, method="engine") for s in self.SEEDS] == dense
+        assert [reference_luby(adj, s) for s in self.SEEDS] == dense
         assert batched == dense
         assert sharded == dense
 
-    def test_trial_and_fix(self):
+    @pytest.mark.parametrize(
+        "adj,min_degree",
+        [(random_regular_graph(60, 4, seed=32), 3),
+         *[(adj, 2) for adj in DEGENERATE.values()]],
+        ids=["regular", *DEGENERATE],
+    )
+    def test_trial_and_fix(self, adj, min_degree):
         from repro.orientation.sinkless import run_trial_and_fix
 
-        adj = random_regular_graph(60, 4, seed=32)
         engine = engine_of(adj)
-        kw = {"min_degree": 3, "engine": engine}
+        kw = {"min_degree": min_degree, "engine": engine}
         dense = [run_trial_and_fix(adj, seed=s, method="dense", **kw) for s in self.SEEDS]
         batched = run_trial_and_fix(adj, seed=self.SEEDS, method="dense-batched", **kw)
         with ShardedExecutor(engine, 2, workers=0) as ex:
@@ -345,14 +398,26 @@ class TestDefaultCoinsAgreeAcrossDenseMethods:
                 run_trial_and_fix(adj, seed=s, method="dense-sharded", executor=ex, **kw)
                 for s in self.SEEDS
             ]
+        engine_runs = [
+            run_trial_and_fix(adj, min_degree=min_degree, seed=s, method="engine")
+            for s in self.SEEDS
+        ]
+        assert engine_runs == dense
+        assert [reference_trial_and_fix(adj, min_degree, s) for s in self.SEEDS] == dense
         assert batched == dense
         assert sharded == dense
 
-    def test_uniform_splitting(self):
+    @pytest.mark.parametrize(
+        "adj,spec",
+        [(random_sparse_graph(200, 24, seed=33),
+          UniformSplittingSpec(eps=0.25, min_constrained_degree=8)),
+         *[(adj, UniformSplittingSpec(eps=0.25, min_constrained_degree=3))
+           for adj in [*DEGENERATE.values(), *MULTI.values()]]],
+        ids=["sparse", *DEGENERATE, *MULTI],
+    )
+    def test_uniform_splitting(self, adj, spec):
         from repro.apps.splitting import uniform_splitting
 
-        adj = random_sparse_graph(200, 24, seed=33)
-        spec = UniformSplittingSpec(eps=0.25, min_constrained_degree=8)
         engine = engine_of(adj)
         dense = [
             uniform_splitting(adj, spec, seed=s, method="dense", engine=engine)
@@ -368,5 +433,8 @@ class TestDefaultCoinsAgreeAcrossDenseMethods:
                 )
                 for s in self.SEEDS
             ]
+        local = [uniform_splitting(adj, spec, seed=s, method="local") for s in self.SEEDS]
+        assert local == dense
+        assert [reference_splitting(adj, spec, s) for s in self.SEEDS] == dense
         assert batched == dense
         assert sharded == dense

@@ -149,7 +149,7 @@ class TestByzantineHookEquivalence:
     def test_backends_agree(self, name):
         sc = get_scenario(name)
         runs = [
-            run_scenario(sc, n=64, seed=3, backend=backend, coins="replay")
+            run_scenario(sc, n=64, seed=3, backend=backend)
             for backend in sc.backends
         ]
         keys = [k for k in runs[0] if not k.endswith("_seconds")]

@@ -3,8 +3,8 @@
 The scenario subsystem's core guarantee: because every fault decision is a
 pure function of ``(fault_seed, round, coordinates)``, a perturbed run is
 *bit-identical* between the reference simulator and the batched engine for
-any algorithm, and — with replayed coins — between the engine and the
-dense kernels for the shipped pipelines.  Random graphs x random fault
+any algorithm, and — on the same keyed node coins — between the engine
+and the dense kernels for the shipped pipelines.  Random graphs x random fault
 stacks x random seeds probe that exhaustively.
 """
 
@@ -119,8 +119,8 @@ class TestReferenceVsEngineUnderFaults:
             assert_bit_identical(ref, fast)
 
 
-class TestDenseReplayUnderFaults:
-    """Dense kernels fed replayed coins + fault masks == hooked engine."""
+class TestDenseEngineIdentityUnderFaults:
+    """Dense kernels + fault masks == hooked engine."""
 
     def test_luby_crash_and_drop(self):
         import numpy as np
@@ -145,7 +145,7 @@ class TestDenseReplayUnderFaults:
                     assert din is None
                 else:
                     assert np.array_equal(din, out[faults.layout.partner])
-            dense = luby_mis_dense(engine, seed=seed, coins="replay",
+            dense = luby_mis_dense(engine, seed=seed,
                                    max_rounds=40, faults=faults)
             assert dense.rounds == eng.rounds
             assert dense.completed == eng.completed
@@ -188,7 +188,7 @@ class TestDenseReplayUnderFaults:
             eng = engine.run(algo, max_rounds=max_rounds, seed=seed,
                              hooks=PerturbationHooks(bound), probe=probe)
             dense = sinkless_trial_dense(
-                engine, min_degree=2, seed=seed, coins="replay",
+                engine, min_degree=2, seed=seed,
                 max_rounds=max_rounds, faults=DenseFaults(engine, bound),
                 strict=False,
             )
@@ -216,7 +216,7 @@ class TestDenseReplayUnderFaults:
             eng = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=seed,
                              hooks=PerturbationHooks(bound))
             dense = uniform_splitting_dense(
-                engine, spec, seed=seed, coins="replay",
+                engine, spec, seed=seed,
                 faults=DenseFaults(engine, bound),
             )
             assert [int(c) for c in dense.colors] == [

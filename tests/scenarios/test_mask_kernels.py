@@ -12,8 +12,8 @@ Three layers of guarantees:
 * **lifecycle** — rounds past the quiet horizon reuse one steady-state
   mask (persistent deletions stay down, healed stacks return ``None``),
   never-settling stacks keep a bounded cache, and the hooked engine and
-  the replay-coin dense kernel agree bit-for-bit because scalar and
-  vectorized decisions share one mixing chain.
+  the dense kernel agree bit-for-bit because scalar and vectorized
+  decisions share one mixing chain.
 """
 
 import random
@@ -211,7 +211,7 @@ class TestQuietHorizon:
                 return super().delivered_out(round_no)
 
         faults = Counting(engine, bound)
-        result = luby_mis_dense(engine, seed=1, coins="replay", faults=faults)
+        result = luby_mis_dense(engine, seed=1, faults=faults)
         assert result.completed
         # Only rounds 1..quiet+1 may query masks; the tail pays nothing.
         assert Counting.calls <= 2 * (faults.quiet + 1)
@@ -292,7 +292,7 @@ class TestCorruptionMasks:
 class TestBackendAgreement:
     """One fault schedule, bit-identical across executors."""
 
-    def test_hooked_engine_matches_dense_replay_coins(self):
+    def test_hooked_engine_matches_dense(self):
         rng = random.Random(11)
         for trial in range(8):
             adj = small_graph(rng.randrange(10_000), n=rng.randrange(4, 28))
@@ -306,7 +306,7 @@ class TestBackendAgreement:
             bound = bind_all(perts, net, fault_seed=seed)
             eng = engine.run(LubyMIS(), max_rounds=40, seed=seed,
                              hooks=PerturbationHooks(bound))
-            dense = luby_mis_dense(engine, seed=seed, coins="replay",
+            dense = luby_mis_dense(engine, seed=seed,
                                    max_rounds=40, faults=DenseFaults(engine, bound))
             assert dense.rounds == eng.rounds
             assert [bool(x) for x in dense.in_mis] == [
@@ -319,8 +319,7 @@ class TestBackendAgreement:
     def test_run_scenario_engine_matches_dense(self):
         for name in ("luby/crash", "luby/drop-iid", "luby/edge-deletion"):
             eng = run_scenario(name, n=150, seed=4, backend="engine")
-            dense = run_scenario(name, n=150, seed=4, backend="dense",
-                                 coins="replay")
+            dense = run_scenario(name, n=150, seed=4, backend="dense")
             for key in ("rounds", "completed", "violations", "survivors", "mis_size"):
                 if key in eng:
                     assert dense[key] == eng[key], (name, key)

@@ -42,10 +42,10 @@ class TestFaultCoins:
 
     def test_independent_of_node_coin_namespace(self):
         # A fault coin never equals the node's first private coin for the
-        # same (seed, uid) — disjoint salt namespaces.
-        from repro.utils.rng import node_rng
+        # same (seed, node) — disjoint salt namespaces.
+        from repro.utils.rng import NodeCoins, mix64
 
-        assert fault_u01(3, "drop", 5) != node_rng(3, 5).random()
+        assert fault_u01(3, "drop", 5) != NodeCoins(mix64(3), 5, 10, [1]).random()
 
 
 class TestCrashNodes:

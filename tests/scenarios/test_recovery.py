@@ -87,7 +87,7 @@ def deterministic(metrics):
     return {k: v for k, v in metrics.items() if not k.endswith("_seconds")}
 
 
-class TestRecoveringVariantsBitIdentity:
+class TestRecoveringVariantsEngineIdentity:
     """engine vs dense: identical (output, rounds, RepairResult)."""
 
     def test_luby(self):
@@ -95,7 +95,7 @@ class TestRecoveringVariantsBitIdentity:
             adj = random_graph(100 + trial)
             eng = luby_mis_recovering(adj, LUBY_STACK, seed=trial, method="engine")
             den = luby_mis_recovering(
-                adj, LUBY_STACK, seed=trial, method="dense", coins="replay"
+                adj, LUBY_STACK, seed=trial, method="dense"
             )
             assert eng == den
             mis, rounds, rep = eng
@@ -112,7 +112,7 @@ class TestRecoveringVariantsBitIdentity:
             )
             den = sinkless_recovering(
                 adj, SINKLESS_STACK, min_degree=3, seed=seed,
-                method="dense", coins="replay",
+                method="dense",
             )
             assert eng == den
             assert eng[2].recovered
@@ -126,7 +126,7 @@ class TestRecoveringVariantsBitIdentity:
             )
             den = splitting_recovering(
                 adj, SPLITTING_SPEC, SPLITTING_STACK, seed=seed,
-                method="dense", coins="replay",
+                method="dense",
             )
             assert eng == den
             assert eng[2].recovered
@@ -135,7 +135,7 @@ class TestRecoveringVariantsBitIdentity:
 class TestBoundedTruncation:
     def _full_and_base(self, adj, seed):
         full = luby_mis_recovering(
-            adj, LUBY_STACK, seed=seed, method="dense", coins="replay"
+            adj, LUBY_STACK, seed=seed, method="dense"
         )
         return full, full[1] - full[2].repair_rounds
 
@@ -153,7 +153,7 @@ class TestBoundedTruncation:
             adj, LUBY_STACK, seed=seed, method="engine", max_rounds=capped
         )
         den = luby_mis_recovering(
-            adj, LUBY_STACK, seed=seed, method="dense", coins="replay",
+            adj, LUBY_STACK, seed=seed, method="dense",
             max_rounds=capped,
         )
         assert eng == den
@@ -165,7 +165,7 @@ class TestBoundedTruncation:
         adj = random_graph(321)
         full, base = self._full_and_base(adj, 3)
         none = luby_mis_recovering(
-            adj, LUBY_STACK, seed=3, method="dense", coins="replay", cap=0
+            adj, LUBY_STACK, seed=3, method="dense", cap=0
         )
         assert none[2].repair_rounds == 0
         assert none[1] == base
@@ -178,7 +178,7 @@ class TestRunScenarioRecover:
         sc = get_scenario(name)
         per_backend = []
         for backend in sc.backends:
-            m = run_scenario(sc, n=60, seed=5, backend=backend, coins="replay",
+            m = run_scenario(sc, n=60, seed=5, backend=backend,
                              recover=True)
             per_backend.append((backend, m))
             assert m["violations"] == 0, (name, backend)
@@ -190,14 +190,6 @@ class TestRunScenarioRecover:
         for backend, m in per_backend[1:]:
             assert deterministic(m) == first, (name, backend)
 
-    @pytest.mark.parametrize("name", RECOVERING_SCENARIOS)
-    def test_default_dense_coins_recover_to_zero_violations(self, name):
-        # The repair contract does not depend on the coin kind: the default
-        # keyed coins draw other schedules than replay, and still recover.
-        m = run_scenario(name, n=60, seed=5, backend="dense", recover=True)
-        assert m["violations"] == 0, name
-        assert m["recovered"] == 1, name
-        assert m["completed"] == 1, name
         assert m["rounds"] >= m["repair_rounds"] >= 0
 
     def test_repair_rounds_fold_into_round_accounting(self):
@@ -231,7 +223,7 @@ class TestRunScenarioRecover:
     def test_every_registered_scenario_supports_recovery(self):
         for sc in all_scenarios():
             m = run_scenario(sc, n=48, seed=1, backend=sc.backends[0],
-                             coins="replay", recover=True)
+                             recover=True)
             assert m["recovered"] == 1, sc.name
             assert "repair_rounds" in m
 
@@ -249,7 +241,7 @@ class TestPipelineRecoverFlag:
         bound = bind_all(LUBY_STACK, net, fault_seed=4)
         want = luby_mis_recovering(adj, LUBY_STACK, seed=4, method="dense",
                                    engine=engine)
-        mis, rounds = luby_mis(adj, seed=4, method="dense", coins="replay",
+        mis, rounds = luby_mis(adj, seed=4, method="dense",
                                engine=engine,
                                faults=DenseFaults(engine, bound), recover=True)
         assert (mis, rounds) == (want[0], want[1])
@@ -267,7 +259,7 @@ class TestPipelineRecoverFlag:
         engine = CSREngine(Network(adj))
         bound = bind_all(SINKLESS_STACK, engine.network, fault_seed=1)
         orientation, rounds = run_trial_and_fix(
-            adj, min_degree=3, seed=1, method="dense", coins="replay",
+            adj, min_degree=3, seed=1, method="dense",
             engine=engine, faults=DenseFaults(engine, bound), recover=True,
         )
         want = sinkless_recovering(adj, SINKLESS_STACK, min_degree=3, seed=1,
@@ -285,7 +277,7 @@ class TestPipelineRecoverFlag:
         engine = CSREngine(Network(adj))
         bound = bind_all(SPLITTING_STACK, engine.network, fault_seed=6)
         colors = uniform_splitting(
-            adj, SPLITTING_SPEC, method="local", seed=6, coins="replay",
+            adj, SPLITTING_SPEC, method="local", seed=6,
             engine=engine, faults=DenseFaults(engine, bound), recover=True,
         )
         assert len(colors) == 30

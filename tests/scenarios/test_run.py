@@ -60,7 +60,7 @@ class TestRunScenario:
         "name", [s.name for s in all_scenarios() if "dense" in s.backends]
     )
     def test_every_scenario_end_to_end_on_dense_default_coins(self, name):
-        # The default dense path: keyed node coins and the one fault chain.
+        # The dense path: keyed node coins and the one fault chain.
         metrics = run_scenario(name, n=200, seed=3, backend="dense")
         assert REQUIRED_METRICS <= set(metrics)
         assert metrics["survivors"] + metrics["crashed_nodes"] == metrics["n"]
@@ -75,10 +75,9 @@ class TestRunScenario:
     @pytest.mark.parametrize(
         "name", [s.name for s in all_scenarios() if "dense" in s.backends]
     )
-    def test_dense_replay_matches_engine(self, name):
+    def test_dense_matches_engine(self, name):
         engine_metrics = run_scenario(name, n=150, seed=5, backend="engine")
-        dense_metrics = run_scenario(name, n=150, seed=5, backend="dense",
-                                     coins="replay")
+        dense_metrics = run_scenario(name, n=150, seed=5, backend="dense")
         for key in ("rounds", "completed", "violations", "survivors", "mis_size"):
             if key in engine_metrics:
                 assert dense_metrics[key] == engine_metrics[key], (name, key)
@@ -164,7 +163,7 @@ class TestDriverPassThrough:
         via_hooks, r1 = luby_mis(adj, seed=9, engine=engine,
                                  hooks=PerturbationHooks(bound))
         via_faults, r2 = luby_mis(adj, seed=9, engine=engine, method="dense",
-                                  coins="replay", faults=DenseFaults(engine, bound))
+                                  faults=DenseFaults(engine, bound))
         assert via_hooks == via_faults and r1 == r2
 
     def test_trial_and_fix_hooks_reach_the_engine(self):

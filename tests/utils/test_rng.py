@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.utils.rng import CoinTable, as_coin_table, ensure_rng, node_rng, spawn
+from repro.local import CSREngine, LocalAlgorithm, Network, run_local
+from repro.utils.rng import NodeCoins, ensure_rng, keyed_u01, mix64
 
 
 class TestEnsureRng:
@@ -22,99 +23,118 @@ class TestEnsureRng:
         assert ensure_rng(rng) is rng
 
 
-class TestNodeRng:
-    def test_pure_function_of_seed_and_id(self):
-        assert node_rng(5, 3).random() == node_rng(5, 3).random()
-
-    def test_different_nodes_independent_streams(self):
-        assert node_rng(5, 3).random() != node_rng(5, 4).random()
-
-    def test_salt_separates_streams(self):
-        assert node_rng(5, 3, "a").random() != node_rng(5, 3, "b").random()
-
-    def test_other_nodes_consumption_is_irrelevant(self):
-        a = node_rng(5, 3)
-        b = node_rng(5, 4)
-        b.random()  # consuming b's bits must not perturb a
-        assert a.random() == node_rng(5, 3).random()
-
-
-class TestSpawn:
-    def test_deterministic_given_parent_state(self):
-        a = spawn(random.Random(1), "x").random()
-        b = spawn(random.Random(1), "x").random()
-        assert a == b
-
-    def test_labels_separate(self):
-        parent = random.Random(1)
-        parent2 = random.Random(1)
-        assert spawn(parent, "x").random() != spawn(parent2, "y").random()
-
-
-class TestCoinTable:
-    """The dense backend's coin supply: replay exactness + keyed contract."""
-
-    IDS = [10, 11, 12, 13, 14]
-
-    def test_replay_matches_node_rng_streams(self):
-        np = pytest.importorskip("numpy")
-        table = CoinTable(7, self.IDS, kind="replay")
-        # Interleaved draws across nodes must track each node's own stream.
-        a = table.uniforms([0, 2, 4])
-        b = table.uniforms([0, 1, 2, 3, 4])
-        streams = {uid: node_rng(7, uid) for uid in self.IDS}
-        expect_a = [streams[10].random(), streams[12].random(), streams[14].random()]
-        expect_b = [streams[uid].random() for uid in self.IDS]
-        assert list(a) == expect_a
-        assert list(b) == expect_b
-        assert a.dtype == np.float64
-
-    def test_replay_uniform_runs_draw_in_port_order(self):
-        pytest.importorskip("numpy")
-        table = CoinTable(3, self.IDS, kind="replay")
-        out = table.uniform_runs([1, 3], [2, 3])
-        s1, s3 = node_rng(3, 11), node_rng(3, 13)
-        assert list(out) == [s1.random(), s1.random(), s3.random(), s3.random(), s3.random()]
-
-    def test_replay_randints_use_randrange(self):
-        pytest.importorskip("numpy")
-        table = CoinTable(9, self.IDS, kind="replay")
-        out = table.randints([0, 4], [5, 3])
-        assert list(out) == [node_rng(9, 10).randrange(5), node_rng(9, 14).randrange(3)]
+class TestKeyedU01:
+    """The kernels' coin function: a pure hash of (seed, counter, tag)."""
 
     def test_keyed_deterministic_per_seed(self):
-        pytest.importorskip("numpy")
-        a = CoinTable(5, self.IDS).uniforms(range(5))
-        b = CoinTable(5, self.IDS).uniforms(range(5))
-        c = CoinTable(6, self.IDS).uniforms(range(5))
+        np = pytest.importorskip("numpy")
+        a = keyed_u01(np, mix64(5), range(5), 0)
+        b = keyed_u01(np, mix64(5), range(5), 0)
+        c = keyed_u01(np, mix64(6), range(5), 0)
         assert list(a) == list(b)
         assert list(a) != list(c)
 
     def test_keyed_bounds_and_shapes(self):
         np = pytest.importorskip("numpy")
-        table = CoinTable(1, self.IDS)
-        u = table.uniforms(range(5))
-        assert u.shape == (5,) and ((u >= 0) & (u < 1)).all()
-        r = table.randints([0, 1, 2], [1, 4, 7])
-        assert r.shape == (3,)
-        assert (r >= 0).all() and (r < np.array([1, 4, 7])).all()
-        runs = table.uniform_runs([0, 1], [3, 0])
-        assert runs.shape == (3,)
+        u = keyed_u01(np, mix64(1), range(5), 0)
+        assert u.shape == (5,) and u.dtype == np.float64
+        assert ((u >= 0) & (u < 1)).all()
+        bounds = np.array([1, 4, 7])
+        r = (keyed_u01(np, mix64(1), [0, 1, 2], 0) * bounds).astype(np.int64)
+        assert (r >= 0).all() and (r < bounds).all()
 
     def test_keyed_setup_is_o1(self):
-        # The whole point: no per-node generator objects.
-        pytest.importorskip("numpy")
-        table = CoinTable(0, range(10**7))
-        assert table.uniforms([0]).shape == (1,)
+        # No per-node state: any counter is drawn directly.
+        np = pytest.importorskip("numpy")
+        assert keyed_u01(np, mix64(0), [10**7 - 1], 0).shape == (1,)
 
-    def test_unknown_kind_rejected(self):
-        pytest.importorskip("numpy")
-        with pytest.raises(ValueError):
-            CoinTable(0, self.IDS, kind="sha512")
 
-    def test_as_coin_table_passthrough_and_coercion(self):
-        pytest.importorskip("numpy")
-        table = CoinTable(2, self.IDS, kind="replay")
-        assert as_coin_table(table, 99, []) is table
-        made = as_coin_table("keyed", 2, self.IDS)
-        assert isinstance(made, CoinTable) and made.kind == "keyed"
+class _DrawProbe(LocalAlgorithm):
+    """Records ``(round, value)`` for one draw in ``init`` and three per round."""
+
+    def init(self, view):
+        view.state["draws"] = [(1, view.rng.random())]
+
+    def send(self, view, round_no):
+        view.state["draws"] += [(round_no, view.rng.random()) for _ in range(3)]
+        view.state["port"] = view.rng.randrange(5)
+        return {}
+
+    def receive(self, view, round_no, inbox):
+        if round_no == 2:
+            view.halted = True
+
+
+class TestNodeCoins:
+    """``NodeView.rng``: draw j of node i in round r is keyed_u01 at (i + j*n, r)."""
+
+    def expected(self, np, seed, i, n):
+        # init draws key as round 1 and share round 1's draw counter.
+        keys = [(i + j * n, 1) for j in range(4)] + [(i + j * n, 2) for j in range(3)]
+        return [(r, float(keyed_u01(np, mix64(seed), [c], r)[0])) for c, r in keys]
+
+    @pytest.mark.parametrize("executor", ["reference", "engine"])
+    def test_executor_draws_match_keyed_u01(self, executor):
+        np = pytest.importorskip("numpy")
+        net = Network([[1], [0, 2], [1], []])
+        if executor == "reference":
+            result = run_local(net, _DrawProbe(), seed=9)
+        else:
+            result = CSREngine(net).run(_DrawProbe(), seed=9)
+        n = net.n
+        for i, view in enumerate(result.views):
+            assert view.state["draws"] == self.expected(np, 9, i, n)
+            # randrange(k) is floor(u * k) on round 2's fourth draw (j = 3).
+            u = float(keyed_u01(np, mix64(9), [i + 3 * n], 2)[0])
+            assert view.state["port"] == int(u * 5)
+
+    def test_other_nodes_consumption_is_irrelevant(self):
+        clock = [1]
+        a = NodeCoins(mix64(5), 3, 10, clock)
+        b = NodeCoins(mix64(5), 4, 10, clock)
+        b.random()  # consuming b's draws must not perturb a
+        assert a.random() == NodeCoins(mix64(5), 3, 10, clock).random()
+
+    def test_draw_counter_restarts_each_round(self):
+        clock = [1]
+        coins = NodeCoins(mix64(2), 0, 4, clock)
+        first = coins.random()
+        coins.random()
+        clock[0] = 2
+        fresh = NodeCoins(mix64(2), 0, 4, clock)
+        assert coins.random() == fresh.random() != first
+
+    def test_pure_function_of_seed_and_index(self):
+        a = NodeCoins(mix64(5), 3, 10, [1])
+        b = NodeCoins(mix64(5), 3, 10, [1])
+        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+
+    def test_different_nodes_independent_streams(self):
+        clock = [1]
+        assert NodeCoins(mix64(5), 3, 10, clock).random() != NodeCoins(
+            mix64(5), 4, 10, clock
+        ).random()
+
+    def test_seed_separates_streams(self):
+        clock = [1]
+        assert NodeCoins(mix64(5), 3, 10, clock).random() != NodeCoins(
+            mix64(6), 3, 10, clock
+        ).random()
+
+    def test_round_draws_match_keyed_u01_vector(self):
+        # One round of two draws per node is two keyed_u01 calls over all nodes.
+        np = pytest.importorskip("numpy")
+        n, clock = 6, [3]
+        streams = [NodeCoins(mix64(11), i, n, clock) for i in range(n)]
+        first = [s.random() for s in streams]
+        second = [s.random() for s in streams]
+        assert first == list(keyed_u01(np, mix64(11), range(n), 3))
+        assert second == list(keyed_u01(np, mix64(11), range(n, 2 * n), 3))
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_randrange_is_floor_of_uniform(self, k):
+        clock = [1]
+        for i in range(20):
+            u = NodeCoins(mix64(4), i, 20, clock).random()
+            d = NodeCoins(mix64(4), i, 20, clock).randrange(k)
+            assert d == int(u * k) and 0 <= d < k
