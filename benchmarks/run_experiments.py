@@ -86,7 +86,7 @@ def build_specs(quick: bool, num_seeds: int, backends=("engine", "dense"),
     / ``dense-sharded``); the ``engine/throughput`` cell always measures
     the first three side by side.  ``dense-batched`` cells chunk their
     seeds into groups of ``trial_batch`` and solve each chunk in one
-    batched kernel call (see
+    ``method="dense"`` call on a seed list (see
     :class:`repro.exp.runner.ExperimentSpec.batch_fn`); ``dense-sharded``
     cells run each trial across a per-worker cached shard pool
     (:func:`repro.exp.workloads.sharded_executor`), so one cell's seeds

@@ -38,7 +38,7 @@ from repro.local.complexity import slocal_conversion_rounds
 from repro.local.engine import CSREngine
 from repro.local.ledger import RoundLedger
 from repro.local.network import LocalAlgorithm, Network, NodeView
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike, ensure_rng, seed_batch
 from repro.utils.validation import require
 
 __all__ = [
@@ -181,6 +181,24 @@ class ZeroRoundSplitting(LocalAlgorithm):
         view.halted = True
 
 
+def _zero_round_attempt(engine: CSREngine, spec: UniformSplittingSpec, run_seed: int, hooks):
+    """One :class:`ZeroRoundSplitting` attempt on the engine:
+    ``(colors, crashed, ok, rounds)`` like a row of the dense kernel.
+
+    Crashed nodes (faulty environments) never output; they do not vote and
+    their init-time color stands in for them.
+    """
+    import numpy as np
+
+    result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed, hooks=hooks)
+    return (
+        np.array([v.state["color"] for v in result.views], dtype=np.int64),
+        np.array([bool(v.state.get("crashed")) for v in result.views], dtype=bool),
+        all(v.output[1] for v in result.views if v.output is not None),
+        result.rounds,
+    )
+
+
 def _constraint_instance(
     adjacency: Sequence[Sequence[int]], spec: UniformSplittingSpec
 ) -> BipartiteInstance:
@@ -215,7 +233,7 @@ def uniform_splitting(
     (:class:`ZeroRoundSplitting`) on the batched engine, with the validity
     check distributed to the nodes themselves; ``method="dense"`` runs the
     identical Las-Vegas loop through the vectorized numpy kernel
-    (:func:`repro.local.dense.uniform_splitting_dense`) — the performance
+    (:func:`repro.local.dense.uniform_splitting_batched`) — the performance
     mode, like the other dense pipelines, whose accepted partition is
     bit-identical to ``method="local"`` for the same seed.  A prebuilt
     ``engine`` over the same adjacency amortizes CSR packing across calls
@@ -233,12 +251,11 @@ def uniform_splitting(
     surviving graph even when the fault-blinded acceptance was wrong (or
     never fired).
 
-    ``method="dense-batched"`` runs the Las-Vegas loop for a whole batch
-    of master seeds in one kernel call: pass a sequence of seeds as
-    ``seed`` and get back a list of color lists, one per seed, each
-    bit-identical to a ``method="dense"`` run of that seed
-    (:func:`repro.local.dense.uniform_splitting_batched`).  The ledger is
-    charged one verification round per attempt per trial.
+    On the ``local`` and ``dense`` methods ``seed`` may also be a sequence
+    of master seeds: a list of color lists comes back, one per seed, each
+    identical to a single-seed call (``dense`` colors and verifies all
+    still-unresolved trials of an attempt in one kernel call).  The ledger
+    is charged one verification round per attempt per trial.
 
     ``method="dense-sharded"`` runs the identical Las-Vegas loop across
     node-range CSR shards on a persistent process pool
@@ -270,71 +287,43 @@ def uniform_splitting(
             )
         return [int(c) for c in sharded.colors]
 
-    if method == "dense-batched":
-        from repro.local.dense import uniform_splitting_batched
-
-        if engine is None:
-            engine = CSREngine(Network(adjacency))
-        batch = uniform_splitting_batched(
-            engine, spec, list(seed), max_attempts=max_attempts,
-            red=RED, blue=BLUE, faults=faults,
-        )
-        if ledger is not None:
-            for t in range(len(batch)):
-                for _ in range(int(batch.attempts[t])):
-                    ledger.charge_simulated(1, "0-round-splitting+check")
-        if not bool(batch.ok.all()):
-            raise RuntimeError(
-                f"{method} uniform splitting failed {max_attempts} times; "
-                "constrained degrees are below the w.h.p. regime"
-            )
-        return [[int(c) for c in batch.colors[t]] for t in range(len(batch))]
-
     if method in ("local", "dense"):
-        rng = ensure_rng(seed)
+        import numpy as np
+
+        seeds, batched = seed_batch(seed)
         if engine is None:
             engine = CSREngine(Network(adjacency))
-        if method == "dense":
-            from repro.local.dense import uniform_splitting_dense
-        else:
-            algorithm = ZeroRoundSplitting(spec)
-        accepted = False
-        run_seed = 0
-        colors: List[int] = []
-        crashed: List[bool] = [False] * n
+        rngs = [ensure_rng(s) for s in seeds]
+        # Per trial: the last attempt's run seed, colors, crash record and
+        # verdict — the state the repair tail continues from.
+        run_seeds = [0] * len(seeds)
+        colors = [np.full(n, BLUE, dtype=np.int64) for _ in seeds]
+        crashed = [np.zeros(n, dtype=bool) for _ in seeds]
+        accepted = [False] * len(seeds)
+        pending = list(range(len(seeds)))
         for _ in range(max_attempts):
-            run_seed = rng.randrange(2**31)
-            if method == "dense":
-                dense = uniform_splitting_dense(
-                    engine, spec, seed=run_seed, red=RED, blue=BLUE,
-                    faults=faults,
-                )
-                if ledger is not None:
-                    ledger.charge_simulated(dense.rounds, "0-round-splitting+check")
-                accepted = bool(dense.ok)
-                if accepted or recover:
-                    colors = [int(c) for c in dense.colors]
-                    crashed = [bool(c) for c in dense.crashed]
-            else:
-                result = engine.run(algorithm, max_rounds=1, seed=run_seed, hooks=hooks)
-                if ledger is not None:
-                    ledger.charge_simulated(result.rounds, "0-round-splitting+check")
-                # Crashed nodes (faulty environments) never output; they do
-                # not vote and their init-time color stands in for them.
-                accepted = all(
-                    v.output[1] for v in result.views if v.output is not None
-                )
-                if accepted or recover:
-                    colors = [
-                        v.output[0] if v.output is not None else v.state["color"]
-                        for v in result.views
-                    ]
-                    crashed = [bool(v.state.get("crashed")) for v in result.views]
-            if accepted:
+            if not pending:
                 break
-        if recover:
-            import numpy as np
+            for t in pending:
+                run_seeds[t] = rngs[t].randrange(2**31)
+            if method == "dense":
+                from repro.local.dense import uniform_splitting_batched
 
+                attempt = uniform_splitting_batched(
+                    engine, spec, [run_seeds[t] for t in pending], red=RED,
+                    blue=BLUE, faults=faults,
+                )
+                verdicts = zip(attempt.colors, attempt.crashed, attempt.ok, attempt.rounds)
+            else:
+                verdicts = [
+                    _zero_round_attempt(engine, spec, run_seeds[t], hooks) for t in pending
+                ]
+            for t, (row_colors, row_crashed, ok, rounds) in zip(pending, verdicts):
+                colors[t], crashed[t], accepted[t] = row_colors, row_crashed, bool(ok)
+                if ledger is not None:
+                    ledger.charge_simulated(int(rounds), "0-round-splitting+check")
+            pending = [t for t in pending if not accepted[t]]
+        if recover:
             from repro.scenarios.masks import DenseFaults
             from repro.scenarios.recovery import (
                 bound_stack,
@@ -343,23 +332,24 @@ def uniform_splitting(
             )
 
             bound = bound_stack(hooks=hooks, faults=faults)
-            colors_arr = np.asarray(colors, dtype=np.int64)
-            crashed_arr = np.asarray(crashed, dtype=bool)
-            rep = splitting_repair(
-                engine, DenseFaults(engine, bound) if bound else None, spec,
-                run_seed, colors_arr, crashed_arr, start_round=2, red=RED,
-                blue=BLUE, edge_ok_mask=edge_ok_slot_mask(engine, bound),
+            repair_faults = DenseFaults(engine, bound) if bound else None
+            edge_ok = edge_ok_slot_mask(engine, bound)
+            for t in range(len(seeds)):
+                rep = splitting_repair(
+                    engine, repair_faults, spec, run_seeds[t], colors[t],
+                    crashed[t], start_round=2, red=RED, blue=BLUE,
+                    edge_ok_mask=edge_ok,
+                )
+                if ledger is not None and rep.repair_rounds:
+                    ledger.charge_simulated(rep.repair_rounds, "splitting-repair")
+                accepted[t] = accepted[t] or rep.recovered
+        if not all(accepted):
+            raise RuntimeError(
+                f"{method} uniform splitting failed {max_attempts} times; "
+                "constrained degrees are below the w.h.p. regime"
             )
-            if ledger is not None and rep.repair_rounds:
-                ledger.charge_simulated(rep.repair_rounds, "splitting-repair")
-            if accepted or rep.recovered:
-                return [int(c) for c in colors_arr]
-        elif accepted:
-            return colors
-        raise RuntimeError(
-            f"{method} uniform splitting failed {max_attempts} times; "
-            "constrained degrees are below the w.h.p. regime"
-        )
+        partitions = [[int(c) for c in row] for row in colors]
+        return partitions if batched else partitions[0]
 
     inst = _constraint_instance(adjacency, spec)
 

@@ -75,7 +75,7 @@ class ExperimentSpec:
     into groups of up to ``trial_batch`` and each chunk becomes ONE task
     calling ``batch_fn(seeds=chunk, **params)``, which must return a list
     of per-seed metric dicts (same order as the chunk).  This is how the
-    dense-batched kernels receive whole seed batches in one call instead
+    dense kernels receive whole seed batches in one call instead
     of one pool task per seed; ``fn`` remains the per-seed fallback others
     (and documentation of the cell's semantics) use.
 

@@ -67,6 +67,9 @@ __all__ = [
 
 TOPOLOGIES = ("sparse", "regular", "torus", "grid", "powerlaw")
 
+# ``dense-batched`` is a sweep label, not a pipeline method: its cells hand
+# whole seed chunks to one ``method="dense"`` call (the chunking policy),
+# and the label keys those cells' bench-history series.
 BACKENDS = ("reference", "engine", "dense", "dense-batched", "dense-sharded")
 
 
@@ -248,7 +251,7 @@ def luby_mis_batch_workload(
     degree: int = 8,
     graph_seed: int = 1,
 ) -> List[Dict[str, Any]]:
-    """Luby MIS for a whole seed batch in one dense-batched kernel call.
+    """Luby MIS for a whole seed batch in one dense kernel call.
 
     The ``backend="dense-batched"`` cell of a sweep: the runner hands the
     whole chunk here (:class:`~repro.exp.runner.ExperimentSpec.batch_fn`)
@@ -260,7 +263,7 @@ def luby_mis_batch_workload(
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     adj = engine.network.adjacency
     start = time.perf_counter()
-    results = luby_mis(adj, seed=list(seeds), method="dense-batched", engine=engine)
+    results = luby_mis(adj, seed=list(seeds), method="dense", engine=engine)
     solve = (time.perf_counter() - start) / max(len(results), 1)
     m = sum(len(a) for a in adj) // 2
     out = []
@@ -346,7 +349,7 @@ def sinkless_batch_workload(
     adj = engine.network.adjacency
     start = time.perf_counter()
     results = run_trial_and_fix(
-        adj, min_degree=2, seed=list(seeds), method="dense-batched", engine=engine
+        adj, min_degree=2, seed=list(seeds), method="dense", engine=engine
     )
     solve = (time.perf_counter() - start) / max(len(results), 1)
     out = []
@@ -421,11 +424,12 @@ def splitting_batch_workload(
 ) -> List[Dict[str, Any]]:
     """Uniform splitting Las-Vegas loops for a whole seed batch at once.
 
-    The ``method="dense-batched"`` counterpart of :func:`splitting_workload`:
-    one :func:`~repro.local.dense.uniform_splitting_batched` call drives
-    every master seed's retry loop attempt-by-attempt (resolved trials
-    freeze).  ``method`` only labels the cell's backend axis in the sweep
-    records (the splitting cells have no ``@backend`` name suffix).
+    The ``dense-batched`` sweep-cell counterpart of :func:`splitting_workload`:
+    one ``method="dense"`` call drives every master seed's retry loop, one
+    :func:`~repro.local.dense.uniform_splitting_batched` call per attempt
+    (resolved trials drop out).  ``method`` only labels the cell's backend
+    axis in the sweep records (the splitting cells have no ``@backend``
+    name suffix).
     """
     require(method == "dense-batched", f"unknown batched method {method!r}")
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
@@ -433,7 +437,7 @@ def splitting_batch_workload(
     spec = UniformSplittingSpec(eps=eps, min_constrained_degree=max(2, degree // 2))
     start = time.perf_counter()
     partitions = uniform_splitting(
-        adj, spec, method="dense-batched", seed=list(seeds), engine=engine
+        adj, spec, method="dense", seed=list(seeds), engine=engine
     )
     solve = (time.perf_counter() - start) / max(len(partitions), 1)
     constrained = sum(1 for a in adj if spec.constrains(len(a)))
@@ -516,7 +520,7 @@ def engine_throughput_workload(
     ratios — ``speedup`` is reference/engine (the PR-1 trajectory metric),
     ``dense_speedup`` is engine/dense.
     """
-    from repro.local.dense import luby_mis_dense
+    from repro.local.dense import luby_mis_batched
 
     engine, setup = scenario_engine(topology, n, degree, graph_seed)
     net = engine.network
@@ -530,7 +534,7 @@ def engine_throughput_workload(
     t_engine = time.perf_counter() - start
 
     start = time.perf_counter()
-    dense = luby_mis_dense(engine, seed=seed)
+    dense = luby_mis_batched(engine, [seed]).trial(0)
     t_dense = time.perf_counter() - start
 
     require(

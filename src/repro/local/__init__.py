@@ -1,6 +1,6 @@
 """LOCAL model: synchronous simulator, batched engine, dense kernels, ledger.
 
-The dense (numpy) kernels are exported lazily: ``repro.local.luby_mis_dense``
+The dense (numpy) kernels are exported lazily: ``repro.local.luby_mis_batched``
 etc. resolve on first access so importing the package never requires numpy
 — the pure-Python reference and engine paths keep working without it.
 """
@@ -49,11 +49,11 @@ __all__ = [
     "sparse_random_ids",
     # lazy (numpy-backed) dense kernel exports, resolved in __getattr__:
     "DenseResult",
-    "luby_round_dense",
-    "luby_mis_dense",
-    "sinkless_trial_dense",
+    "BatchedDenseResult",
+    "luby_mis_batched",
+    "sinkless_trial_batched",
     "dense_orientation",
-    "uniform_splitting_dense",
+    "uniform_splitting_batched",
     # lazy sharded-backend exports (numpy + multiprocessing):
     "ShardPlan",
     "plan_shards",
@@ -67,11 +67,11 @@ __all__ = [
 _DENSE_NAMES = frozenset(
     {
         "DenseResult",
-        "luby_round_dense",
-        "luby_mis_dense",
-        "sinkless_trial_dense",
+        "BatchedDenseResult",
+        "luby_mis_batched",
+        "sinkless_trial_batched",
         "dense_orientation",
-        "uniform_splitting_dense",
+        "uniform_splitting_batched",
     }
 )
 

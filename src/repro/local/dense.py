@@ -11,20 +11,24 @@ The kernels here execute an entire round of one specific algorithm as
 masked array arithmetic over the engine's CSR layout
 (:meth:`CSREngine.dense_arrays`): candidate coin draws come from
 :func:`~repro.utils.rng.keyed_u01`, neighborhood reductions are
-``np.logical_or.reduceat`` / ``np.add.reduceat`` over the CSR segments, and
-the per-slot owner array ``np.repeat(arange(n), degrees)`` turns "compare
-me against each neighbor" into two gathers and a compare.
+``np.logical_or.reduceat`` / ``np.add.reduceat`` (or a ``bincount``) over
+the CSR segments, and the per-slot owner array
+``np.repeat(arange(n), degrees)`` turns "compare me against each neighbor"
+into two gathers and a compare.
+
+There is one kernel per algorithm — :func:`luby_mis_batched`,
+:func:`sinkless_trial_batched`, :func:`uniform_splitting_batched` — and
+each takes a *batch* of seeds with a leading trial axis; a single run is a
+batch of one.
 
 Coin contract: the ``j``-th draw of node ``i`` in round ``r`` is
 ``keyed_u01(mix64(seed), i + j*n, r)`` — exactly what the simulators'
 :class:`~repro.utils.rng.NodeCoins` hand the algorithm as ``view.rng``.
 Every value is a pure function of ``(seed, node, draw, round)`` with O(1)
-setup, so a dense run is **bit-identical** to :class:`CSREngine` (and hence
-to :func:`~repro.local.network.run_local`), and a *trial-batched* kernel
-(:func:`luby_mis_batched`, :func:`sinkless_trial_batched`,
-:func:`uniform_splitting_batched`) or a sharded one
-(:mod:`repro.local.sharded`) reproduces k sequential runs bit-for-bit while
-advancing all k trials through shared array passes.
+setup, so each row of a batch is **bit-identical** to :class:`CSREngine`
+(and hence to :func:`~repro.local.network.run_local`) for its seed, and
+also to a batch of one of that seed and to a sharded run
+(:mod:`repro.local.sharded`).
 
 Each kernel documents exactly which hook-level draws it recomputes; any
 change to the corresponding :class:`LocalAlgorithm` must be mirrored here
@@ -39,25 +43,21 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.local.engine import CSREngine
-from repro.utils.rng import ensure_rng, keyed_hash53, keyed_u01, mix64
+from repro.utils.rng import keyed_hash53, keyed_u01, mix64
 from repro.utils.validation import require
 
 __all__ = [
     "DenseResult",
     "BatchedDenseResult",
-    "luby_round_dense",
-    "luby_mis_dense",
     "luby_mis_batched",
-    "sinkless_trial_dense",
     "sinkless_trial_batched",
     "dense_orientation",
-    "uniform_splitting_dense",
     "uniform_splitting_batched",
 ]
 
 
 class DenseResult:
-    """Outcome of a dense kernel run: per-node arrays instead of NodeViews."""
+    """Outcome of one dense trial: per-node arrays instead of NodeViews."""
 
     __slots__ = ("rounds", "completed", "data")
 
@@ -74,15 +74,15 @@ class DenseResult:
 
 
 class BatchedDenseResult:
-    """Outcome of a trial-batched dense kernel: one leading trial axis.
+    """Outcome of a dense kernel call: one leading trial axis.
 
     ``rounds`` (int64) and ``completed`` (bool) have shape ``(k,)``, aligned
     with ``seeds``; every array in ``data`` has shape ``(k, ...)`` — e.g.
     ``in_mis`` is ``(trials, nodes)``.  Trials finish at different rounds
     (ragged termination): a finished trial's rows are frozen at their final
     state while survivors keep iterating.  :meth:`trial` slices one trial
-    back out as a :class:`DenseResult`, bit-identical to the corresponding
-    sequential run of the same kernel.
+    back out as a :class:`DenseResult`, bit-identical to a batch of one of
+    the same seed.
     """
 
     __slots__ = ("seeds", "rounds", "completed", "data")
@@ -103,7 +103,7 @@ class BatchedDenseResult:
         return len(self.seeds)
 
     def trial(self, t: int) -> DenseResult:
-        """The ``t``-th trial's slice as a sequential-shaped result."""
+        """The ``t``-th trial's slice as a single-trial result."""
         return DenseResult(
             int(self.rounds[t]),
             bool(self.completed[t]),
@@ -156,8 +156,7 @@ def _segment_or_2d(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Row-wise :func:`_segment_or` over a ``(trials, slots)`` array.
 
     One ``reduceat`` along axis 1 advances every trial's neighborhood OR at
-    once — the trial-batched kernels' workhorse.  Same empty/trailing
-    segment guards as the 1D version.
+    once.  Same empty/trailing segment guards as the 1D version.
     """
     k = values.shape[0]
     m = values.shape[1]
@@ -196,7 +195,7 @@ def _slot_owner(offsets: np.ndarray) -> np.ndarray:
 def _ragged_slots(offsets: np.ndarray, degrees: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """All CSR slots owned by the nodes in ``idx``, in node order.
 
-    O(output) — the batched Luby kernel uses it to touch only the surviving
+    O(output) — the Luby kernel uses it to touch only the surviving
     frontier's slots instead of sweeping all ``m`` pairs per phase.
     """
     cnt = degrees[idx]
@@ -225,204 +224,23 @@ def _flip_ports(seed_hash, sinks: np.ndarray, degrees: np.ndarray, round_no: int
 
 # ---------------------------------------------------------------------------
 # Luby MIS.
-# ---------------------------------------------------------------------------
-
-
-def luby_round_dense(
-    active: np.ndarray,
-    r: np.ndarray,
-    uid: np.ndarray,
-    offsets: np.ndarray,
-    dst_node: np.ndarray,
-    owner: np.ndarray,
-    active2: "np.ndarray" = None,
-    heard1: "np.ndarray" = None,
-    heard2: "np.ndarray" = None,
-    corrupt1: "np.ndarray" = None,
-    corrupt2: "np.ndarray" = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One Luby phase (priority exchange + announcement) as array ops.
-
-    ``active`` is the per-node frontier mask, ``r`` the per-node priority
-    coins (only entries of active nodes are read).  Returns
-    ``(joining, killed)``: nodes that enter the MIS this phase, and nodes
-    eliminated because a neighbor joined.  The priority order is the
-    engine's tuple compare ``(r, uid)`` — ties on ``r`` break on uid,
-    exactly like :class:`~repro.mis.luby.LubyMIS`, so there is no float-tie
-    hazard.
-
-    The optional fault arguments mirror the hooked engine's semantics on a
-    faulty environment (all default to the clean-run behaviour):
-
-    * ``heard1`` — per-slot delivery mask for the priority round: a dropped
-      priority does not suppress the receiver's join;
-    * ``active2`` — frontier at the announcement round (nodes crashing
-      between the two rounds decided to join but never announce — and never
-      enter the MIS);
-    * ``heard2`` — per-slot delivery mask for the announcement round: a
-      dropped join announcement does not kill the receiver;
-    * ``corrupt1`` — per-slot Byzantine mask (receiving side) for the
-      priority round: a corrupted priority from an active sender is the
-      forged always-winning payload
-      (:data:`~repro.scenarios.byzantine.FORGED_PRIORITY`), so the receiver
-      loses the comparison regardless of the genuine draws;
-    * ``corrupt2`` — per-slot Byzantine mask for the announcement round: a
-      corrupted announcement from an active sender arrives with its
-      join/stay bit flipped.
-    """
-    # Slot k: does the (active) neighbor at this slot beat the slot's owner?
-    nbr = dst_node
-    nbr_better = (r[nbr] > r[owner]) | ((r[nbr] == r[owner]) & (uid[nbr] > uid[owner]))
-    if corrupt1 is not None:
-        nbr_better |= corrupt1  # forged winner: beats any genuine priority
-    nbr_better &= active[nbr]
-    if heard1 is not None:
-        nbr_better &= heard1
-    joining = active & ~_segment_or(nbr_better, offsets)
-    if active2 is None:
-        active2 = active
-    else:
-        joining = joining & active2
-    announced = joining[nbr]
-    if corrupt2 is not None:
-        # Flipped join/stay bit; any *sending* (active) neighbor counts.
-        announced = (announced ^ corrupt2) & active2[nbr]
-    if heard2 is not None:
-        announced = announced & heard2
-    killed = active2 & ~joining & _segment_or(announced, offsets)
-    return joining, killed
-
-
-def luby_mis_dense(
-    engine: CSREngine,
-    seed: int = 0,
-    max_rounds: int = 10_000,
-    faults=None,
-    tracer=None,
-) -> DenseResult:
-    """Luby's MIS as dense phases; same semantics as running
-    :class:`~repro.mis.luby.LubyMIS` on the engine.
-
-    Recomputed draws per engine hook call: one ``random()`` per *active*
-    node per odd (priority) round, nothing on even rounds; degree-0 nodes
-    join the MIS in ``init`` and never draw.  The returned ``in_mis`` mask
-    and round count are bit-identical to the engine's outputs for the same
-    seed.
-
-    ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`, or any object
-    with ``crashed_at``/``delivered_in``) is the masked-array equivalent of
-    running the engine with scenario hooks: crashed nodes leave the frontier
-    before drawing (and never join), dropped priority/announcement messages
-    are excluded from the neighborhood reductions.  A faulty dense run is
-    bit-identical to the engine under the same perturbation stack.
-
-    ``tracer`` (a :class:`~repro.obs.trace.Tracer`; None or a NullTracer by
-    default) records one round record per executed round — the same round
-    numbers, active-set sizes and total as a hook-traced engine run of the
-    same seed (mask-based delivery accounting means the dense records omit
-    the per-round delivered/dropped message counts).
-
-    Returns a :class:`DenseResult` with ``in_mis`` (bool array of length n)
-    and ``crashed`` (bool array; all-False on a clean run).
-    """
-    require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
-    trace = tracer is not None and tracer.enabled
-    offsets, dst_node, _ = engine.dense_arrays()
-    n = engine.n
-    uid = _uids(engine)
-    seed_hash = mix64(seed)
-    degrees = np.diff(offsets)
-
-    in_mis = degrees == 0  # isolated nodes join immediately (init)
-    active = ~in_mis
-    crashed = np.zeros(n, dtype=bool)
-    owner = _slot_owner(offsets)
-    r = np.zeros(n, dtype=np.float64)
-
-    # Past the stack's quiet horizon no fault can occur, so the loop drops
-    # the faults object and the recovery tail runs at fault-free cost
-    # (DenseFaults.expired; other mask providers may omit it).
-    faults_expired = getattr(faults, "expired", None)
-
-    rounds = 0
-    while active.any():
-        if rounds + 1 > max_rounds:
-            break
-        round1 = rounds + 1
-        if faults is not None and faults_expired is not None and faults_expired(round1):
-            faults = None
-        if faults is not None:
-            crash = faults.crashed_at(round1)
-            if crash is not None:
-                crashed |= active & crash
-                active = active & ~crash
-        # Odd round: every active node's first draw of the round.
-        if trace:
-            phase_start = time.perf_counter()
-        act_idx = np.flatnonzero(active)
-        r[act_idx] = keyed_u01(np, seed_hash, act_idx, round1)
-        rounds += 1
-        if trace:
-            # Post-round-1-crash frontier == the reference's non-halted
-            # count after the odd round (degree-0 nodes halted in init).
-            tracer.round(
-                round1,
-                active=int(active.sum()),
-                seconds=time.perf_counter() - phase_start,
-            )
-            phase_start = time.perf_counter()
-        if rounds + 1 > max_rounds:
-            break  # engine would stop after the odd round, mid-phase
-        active2 = heard1 = heard2 = corrupt1 = corrupt2 = None
-        if faults is not None:
-            round2 = rounds + 1
-            crash = faults.crashed_at(round2)
-            if crash is not None:
-                crashed |= active & crash
-                active2 = active & ~crash
-            heard1 = faults.delivered_in(round1)
-            heard2 = faults.delivered_in(round2)
-            corrupted_in = getattr(faults, "corrupted_in", None)
-            if corrupted_in is not None:
-                corrupt1 = corrupted_in(round1)
-                corrupt2 = corrupted_in(round2)
-        joining, killed = luby_round_dense(
-            active, r, uid, offsets, dst_node, owner,
-            active2=active2, heard1=heard1, heard2=heard2,
-            corrupt1=corrupt1, corrupt2=corrupt2,
-        )
-        in_mis |= joining
-        active = (active if active2 is None else active2) & ~(joining | killed)
-        rounds += 1
-        if trace:
-            tracer.round(
-                rounds,
-                active=int(active.sum()),
-                seconds=time.perf_counter() - phase_start,
-            )
-    return DenseResult(rounds, completed=not active.any(), in_mis=in_mis, crashed=crashed)
-
-
-# ---------------------------------------------------------------------------
-# Trial-batched Luby MIS.
 #
-# The batched kernel advances k seeds of one graph at once.  Its state per
-# still-running trial is *compressed*: a flat array of active (trial, node)
-# keys plus pair-endpoint positions into it, so every phase costs
-# O(surviving frontier) instead of O(k * m).  Two execution regimes chosen
-# purely for cache behaviour (semantics are identical):
+# The kernel advances k seeds of one graph at once.  Its state per group of
+# still-running trials is *compressed*: a flat array of active (trial, node)
+# keys ``t * n + v`` plus pair-endpoint positions into it, so every phase
+# costs O(surviving frontier) instead of O(k * m).  Two execution regimes
+# chosen purely for cache behaviour (semantics are identical):
 #
 # * a trial whose live pair count is still large is advanced on its own
 #   (its arrays are cache-resident; pooling them with 63 siblings would
 #   blow the working set on 1-CPU CI hardware);
 # * once a trial's frontier shrinks below ``pool_pairs`` it merges into one
-#   communal pool, and a single bincount/segment pass advances every pooled
-#   trial per phase — the "one pass, many seeds" payoff, since Luby's
-#   frontier decays geometrically and the tail phases dominate the count.
+#   communal pool, and a single bincount pass advances every pooled trial
+#   per phase — the "one pass, many seeds" payoff, since Luby's frontier
+#   decays geometrically and the tail phases dominate the count.
 #
-# Coins are keyed (pure hash of (seed, node, round)), so the batched run is
-# bit-identical to k sequential runs — enforced by the property tests in
-# tests/local/test_dense_batched.py.
+# Coins are keyed (pure hash of (seed, node, round)), so every row is
+# bit-identical to a batch of one of its seed and to the engine.
 # ---------------------------------------------------------------------------
 
 
@@ -455,70 +273,95 @@ def _merge_states(parts):
     return tuple(np.concatenate(c) for c in cols)
 
 
-def _luby_phase_batched(state, n, round1, uid_gt, in_mis_flat, crashed_flat, faults):
-    """One full Luby phase (rounds ``round1``, ``round1 + 1``) on one
-    compressed state; returns the surviving state.
+def _trial_counts(states, n: int, k: int) -> np.ndarray:
+    """Frontier size per trial, summed over compressed states."""
+    counts = np.zeros(k, dtype=np.int64)
+    for state in states:
+        counts += np.bincount(state[0] // n, minlength=k)
+    return counts
 
-    Mirrors the sequential loop body of :func:`luby_mis_dense` exactly:
-    round-1 crashes leave before drawing, priorities are 53-bit keyed
-    hashes (rank-isomorphic to the keyed uniforms the sequential kernel
-    compares, ties broken by uid), dropped priorities don't suppress joins,
-    round-2 crashers neither join nor announce, dropped announcements don't
-    kill.  Fault masks are shared across every trial in the state.
+
+def _luby_draw(state, n, round1, crashed_flat, faults):
+    """Odd (priority) round ``round1`` on one compressed state.
+
+    Nodes crashing at ``round1`` leave before drawing; every survivor draws
+    its priority, a 53-bit keyed hash (rank-isomorphic to the keyed uniform
+    :class:`~repro.mis.luby.LubyMIS` compares, ties broken by uid).  Returns
+    ``(state, priorities)``.
     """
-    nodes, o_pos, n_pos, slots, sh = state
     if faults is not None:
         crash = faults.crashed_at(round1)
         if crash is not None:
-            hit = crash[nodes % n]
+            hit = crash[state[0] % n]
             if hit.any():
-                crashed_flat[nodes[hit]] = True
-                nodes, o_pos, n_pos, slots, sh = _compress_state(
-                    ~hit, nodes, o_pos, n_pos, slots, sh
-                )
+                crashed_flat[state[0][hit]] = True
+                state = _compress_state(~hit, *state)
+    return state, keyed_hash53(np, state[4], state[0] % n, round1)
+
+
+def _luby_resolve(state, r, n, round1, uid_gt, in_mis_flat, crashed_flat, faults):
+    """Even (announcement) round ``round1 + 1``; returns the surviving state.
+
+    A node joins when no delivered neighbor priority beats its own; nodes
+    crashing at ``round1 + 1`` neither join nor announce; a delivered join
+    announcement kills the receiver.  Byzantine corruption (receiving-side
+    masks) turns a priority into the forged always-winning payload
+    (:data:`~repro.scenarios.byzantine.FORGED_PRIORITY`) and flips an
+    announcement's join/stay bit.  Fault masks are shared by every trial.
+    """
+    nodes, o_pos, n_pos, slots, _ = state
     N = nodes.shape[0]
     if N == 0:
-        return nodes, o_pos, n_pos, slots, sh
-    r = keyed_hash53(np, sh, nodes % n, round1)
+        return state
+    round2 = round1 + 1
     ro = r[o_pos]
     rn = r[n_pos]
     better = (rn > ro) | ((rn == ro) & uid_gt[slots])
-    crash2 = None
+    crash2 = heard1 = heard2 = corrupt1 = corrupt2 = None
     if faults is not None:
         heard1 = faults.delivered_in(round1)
-        if heard1 is not None:
-            better &= heard1[slots]
-        cmask = faults.crashed_at(round1 + 1)
+        heard2 = faults.delivered_in(round2)
+        cmask = faults.crashed_at(round2)
         if cmask is not None:
             crash2 = cmask[nodes % n]
+        corrupted_in = getattr(faults, "corrupted_in", None)
+        if corrupted_in is not None:
+            corrupt1 = corrupted_in(round1)
+            corrupt2 = corrupted_in(round2)
+    if corrupt1 is not None:
+        better |= corrupt1[slots]  # forged winner: beats any genuine priority
+    if heard1 is not None:
+        better &= heard1[slots]
     joining = np.bincount(o_pos[better], minlength=N) == 0
-    if crash2 is not None and crash2.any():
+    if crash2 is not None:
         crashed_flat[nodes[crash2]] = True
         joining &= ~crash2
     announced = joining[n_pos]
-    if faults is not None:
-        heard2 = faults.delivered_in(round1 + 1)
-        if heard2 is not None:
-            announced &= heard2[slots]
+    if corrupt2 is not None:
+        # Flipped join/stay bit; any *sending* (uncrashed) neighbor counts.
+        announced ^= corrupt2[slots]
+        if crash2 is not None:
+            announced &= ~crash2[n_pos]
+    if heard2 is not None:
+        announced &= heard2[slots]
     killed = ~joining & (np.bincount(o_pos[announced], minlength=N) > 0)
     in_mis_flat[nodes[joining]] = True
     keep = ~joining & ~killed
     if crash2 is not None:
         keep &= ~crash2
-    return _compress_state(keep, nodes, o_pos, n_pos, slots, sh)
+    return _compress_state(keep, *state)
 
 
-def _luby_phase1_fast(t, s_hash, n, node_idx, act0, uid_gt, offsets, dst_node,
-                      owner, degrees, in_mis_row, pos_map):
-    """Fault-free phase 1 for one trial, full-graph arrays (cache-hot).
+def _luby_phase1_fast(t, s_hash, rt, n, act0, uid_gt, offsets, dst_node, owner,
+                      degrees, in_mis_row, pos_map):
+    """Fault-free round 2 for one trial over full-graph (cache-hot) arrays.
 
-    Joins/kills over all ``m`` pairs via segment reductions; the kill set
-    is scattered from the joining nodes' own slots and the surviving
-    frontier's pairs are extracted from the survivors' CSR rows only — both
-    O(joining/surviving slots), not O(m).  Returns the compressed state of
-    phase-2 survivors, or ``None`` when the trial finished at round 2.
+    ``rt`` holds every node's round-1 priority.  Joins come from one
+    segment reduction over all ``m`` pairs; the kill set is scattered from
+    the joining nodes' own slots and the surviving frontier's pairs are
+    extracted from the survivors' CSR rows only — both O(joining/surviving
+    slots), not O(m).  Returns the compressed state of the survivors.
     """
-    rt = keyed_hash53(np, s_hash, node_idx, 1)
     ro = rt[owner]
     rn = rt[dst_node]
     better = (rn > ro) | ((rn == ro) & uid_gt)
@@ -529,8 +372,6 @@ def _luby_phase1_fast(t, s_hash, n, node_idx, act0, uid_gt, offsets, dst_node,
     in_mis_row[:] = ~act0 | join
     at = act0 & ~join & ~killed
     act_idx = np.flatnonzero(at)
-    if act_idx.shape[0] == 0:
-        return None
     sslots = _ragged_slots(offsets, degrees, act_idx)
     live = sslots[at[dst_node[sslots]]]
     pos_map[act_idx] = np.arange(act_idx.shape[0])
@@ -548,31 +389,37 @@ def luby_mis_batched(
 ) -> BatchedDenseResult:
     """Luby's MIS for a batch of seeds on one graph, in one kernel call.
 
-    Per trial this is exactly ``luby_mis_dense(engine, seed=s,
-    max_rounds=..., faults=...)`` — same MIS membership,
-    crash records, round counts and completion flags, bit for bit — but the
-    trials advance together: phase 1 runs per trial over cache-hot full
-    arrays, and once a trial's frontier is small (``pool_pairs`` live pairs
-    or fewer) it merges into a communal compressed pool where one
-    bincount/segment pass per phase advances every surviving trial at once.
-    Trials finish raggedly; finished trials freeze, survivors iterate.
+    Each row has the semantics of running :class:`~repro.mis.luby.LubyMIS`
+    on the engine with that seed: one ``random()`` per *active* node per
+    odd (priority) round, nothing on even rounds; degree-0 nodes join the
+    MIS in ``init`` and never draw.  MIS membership, crash records, round
+    counts and completion flags are bit-identical to the engine's.  The
+    trials advance together: a fault-free first phase runs per trial over
+    cache-hot full arrays, and once a trial's frontier is small (``pool_pairs`` live pairs
+    or fewer) it merges into a communal compressed pool where one bincount
+    pass per phase advances every surviving trial at once.  Trials finish
+    raggedly; finished trials freeze, survivors iterate.
 
-    ``faults`` is one shared :class:`~repro.scenarios.masks.DenseFaults`
-    schedule broadcast across the trial axis (per-round masks are built
-    once and reused by every trial).
+    ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`, or any object
+    with ``crashed_at``/``delivered_in`` and optionally ``corrupted_in``)
+    is the masked-array equivalent of running the engine with scenario
+    hooks; one schedule is shared by every trial.  Crashed nodes leave the
+    frontier before drawing (and never join), dropped priority and
+    announcement messages are excluded from the neighborhood reductions,
+    and corrupted ones carry the Byzantine payloads (see
+    :func:`_luby_resolve`).
 
-    ``tracer`` records one ``batch_phase`` event per communal phase (the
-    per-trial round semantics of the batched regime make per-round records
-    ambiguous; phase events carry the surviving trial/pool shape instead).
+    ``tracer`` (a :class:`~repro.obs.trace.Tracer`; None or a NullTracer by
+    default) records one round record per executed round whose ``active``
+    is the frontier summed over the trials that ran the round — for a batch
+    of one, the same round numbers and active-set sizes as a hook-traced
+    engine run of the seed (mask-based delivery accounting means the dense
+    records omit the per-round delivered/dropped message counts).
 
     Returns a :class:`BatchedDenseResult` with ``in_mis`` and ``crashed``
     of shape ``(trials, n)``.
     """
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
-    require(
-        not getattr(faults, "corrupting", False),
-        "trial-batched kernels do not implement Byzantine corruption masks",
-    )
     trace = tracer is not None and tracer.enabled
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
@@ -583,135 +430,116 @@ def luby_mis_batched(
     k = len(seeds)
 
     in_mis = np.zeros((k, n), dtype=bool)
-    in_mis[:, degrees == 0] = True
+    in_mis[:, degrees == 0] = True  # isolated nodes join immediately (init)
     crashed = np.zeros((k, n), dtype=bool)
     rounds = np.zeros(k, dtype=np.int64)
     completed = np.ones(k, dtype=bool)
+    result = BatchedDenseResult(seeds, rounds, completed, in_mis=in_mis, crashed=crashed)
     act0 = degrees > 0
     if k == 0 or not act0.any():
-        return BatchedDenseResult(seeds, rounds, completed, in_mis=in_mis, crashed=crashed)
+        return result
 
     imf = in_mis.ravel()
     crf = crashed.ravel()
     seed_hashes = [mix64(int(s)) for s in seeds]
     uid_gt = uid[dst_node] > uid[owner]
-    node_idx = np.arange(n, dtype=np.int64)
     pos_map = np.empty(n, dtype=np.int64)
+    # Past the stack's quiet horizon no fault can occur, so the loop drops
+    # the faults object and the recovery tail runs at fault-free cost
+    # (DenseFaults.expired; other mask providers may omit it).
     faults_expired = getattr(faults, "expired", None)
-
-    if max_rounds == 0:
-        completed[:] = False
-        return BatchedDenseResult(seeds, rounds, completed, in_mis=in_mis, crashed=crashed)
     if faults is not None and faults_expired is not None and faults_expired(1):
         faults = None
-    if max_rounds == 1:
-        # Mid-phase cap inside phase 1: crashes land, priorities are drawn,
-        # nothing is ever announced (matches the sequential odd-round break).
-        frontier = act0
-        if faults is not None:
-            crash = faults.crashed_at(1)
-            if crash is not None:
-                crashed[:, :] = (act0 & crash)[None, :]
-                frontier = act0 & ~crash
-        rounds[:] = 1
-        completed[:] = not frontier.any()
-        return BatchedDenseResult(seeds, rounds, completed, in_mis=in_mis, crashed=crashed)
 
-    # Phase 1 (rounds 1-2), per trial: the fault-free fast path, or the
-    # generic compressed phase seeded with the full graph under faults.
-    singles = {}
-    if faults is None:
+    act_idx0 = np.flatnonzero(act0)
+    singles = []
+    round_no = 0
+    if faults is None and max_rounds >= 2:
+        # Fault-free phase 1, per trial, over the full cache-hot arrays.
+        node_idx = np.arange(n, dtype=np.int64)
+        draw_s = resolve_s = 0.0
         for t, s_hash in enumerate(seed_hashes):
+            t0 = time.perf_counter()
+            rt = keyed_hash53(np, s_hash, node_idx, 1)
+            t1 = time.perf_counter()
             st = _luby_phase1_fast(
-                t, s_hash, n, node_idx, act0, uid_gt, offsets, dst_node,
-                owner, degrees, in_mis[t], pos_map,
+                t, s_hash, rt, n, act0, uid_gt, offsets, dst_node, owner, degrees,
+                in_mis[t], pos_map,
             )
-            if st is None:
-                rounds[t] = 2
+            draw_s += t1 - t0
+            resolve_s += time.perf_counter() - t1
+            if st[0].shape[0]:
+                singles.append(st)
             else:
-                singles[t] = st
+                rounds[t] = 2
+        round_no = 2
+        if trace:
+            tracer.round(1, active=k * act_idx0.shape[0], seconds=draw_s)
+            tracer.round(2, active=sum(st[0].shape[0] for st in singles), seconds=resolve_s)
     else:
-        act_idx0 = np.flatnonzero(act0)
+        # The generic compressed phase, seeded with the full graph.
         pos_map[act_idx0] = np.arange(act_idx0.shape[0])
         o_pos0 = pos_map[owner]
         n_pos0 = pos_map[dst_node]
         slots0 = np.arange(m, dtype=np.int64)
         for t, s_hash in enumerate(seed_hashes):
-            state = (
+            singles.append((
                 t * n + act_idx0, o_pos0, n_pos0, slots0,
                 np.full(act_idx0.shape[0], s_hash, dtype=np.uint64),
-            )
-            st = _luby_phase_batched(state, n, 1, uid_gt, imf, crf, faults)
-            if st[0].shape[0] == 0:
-                rounds[t] = 2
-            else:
-                singles[t] = st
+            ))
 
     pool = None
-    round_no = 2
     while singles or pool is not None:
+        groups = singles + ([pool] if pool is not None else [])
+        live = _trial_counts(groups, n, k) > 0
         round1 = round_no + 1
         if round1 > max_rounds:
             # Cap reached between phases: survivors stop incomplete.
-            for t in singles:
-                rounds[t] = round_no
-                completed[t] = False
-            if pool is not None:
-                for t in np.unique(pool[0] // n):
-                    rounds[t] = round_no
-                    completed[t] = False
+            rounds[live] = round_no
+            completed[live] = False
             break
         if faults is not None and faults_expired is not None and faults_expired(round1):
             faults = None
-        if round1 + 1 > max_rounds:
-            # Mid-phase cap: round-1 crashes land, then the odd-round break.
-            states = list(singles.values()) + ([pool] if pool is not None else [])
-            nodes_all = np.concatenate([st[0] for st in states])
-            left = nodes_all
-            if faults is not None:
-                crash = faults.crashed_at(round1)
-                if crash is not None:
-                    hit = crash[nodes_all % n]
-                    crf[nodes_all[hit]] = True
-                    left = nodes_all[~hit]
-            total = np.bincount(nodes_all // n, minlength=k)
-            remaining = np.bincount(left // n, minlength=k)
-            running = total > 0
-            rounds[running] = round1
-            completed[running] = remaining[running] == 0
-            break
-        round2 = round1 + 1
-        if trace:
-            tracer.event(
-                "batch_phase",
-                round=round1,
-                singles=len(singles),
-                pool_nodes=0 if pool is None else int(pool[0].shape[0]),
-            )
         # Small trials merge into the communal pool (once pooled, a trial's
         # frontier only shrinks, so it never leaves).
-        small = [t for t, st in singles.items() if st[3].shape[0] <= pool_pairs]
+        small = [st for st in singles if st[3].shape[0] <= pool_pairs]
         if small:
-            parts = ([pool] if pool is not None else []) + [singles.pop(t) for t in small]
-            pool = _merge_states(parts)
-        for t in list(singles):
-            st = _luby_phase_batched(singles[t], n, round1, uid_gt, imf, crf, faults)
-            if st[0].shape[0] == 0:
-                rounds[t] = round2
-                del singles[t]
-            else:
-                singles[t] = st
+            pool = _merge_states(([pool] if pool is not None else []) + small)
+            singles = [st for st in singles if st[3].shape[0] > pool_pairs]
+            groups = singles + [pool]
+        t0 = time.perf_counter()
+        drawn = [_luby_draw(st, n, round1, crf, faults) for st in groups]
+        if trace:
+            tracer.round(
+                round1,
+                active=sum(st[0].shape[0] for st, _ in drawn),
+                seconds=time.perf_counter() - t0,
+            )
+        if round1 + 1 > max_rounds:
+            # Mid-phase cap: the engine stops after the odd round.
+            remaining = _trial_counts([st for st, _ in drawn], n, k)
+            rounds[live] = round1
+            completed[live] = remaining[live] == 0
+            break
+        round2 = round1 + 1
+        t0 = time.perf_counter()
+        groups = [
+            _luby_resolve(st, r, n, round1, uid_gt, imf, crf, faults) for st, r in drawn
+        ]
+        rounds[live & (_trial_counts(groups, n, k) == 0)] = round2
+        if trace:
+            tracer.round(
+                round2,
+                active=sum(st[0].shape[0] for st in groups),
+                seconds=time.perf_counter() - t0,
+            )
         if pool is not None:
-            before = pool[0]
-            pool = _luby_phase_batched(pool, n, round1, uid_gt, imf, crf, faults)
-            if pool[0].shape[0] != before.shape[0]:
-                had = np.bincount(before // n, minlength=k) > 0
-                have = np.bincount(pool[0] // n, minlength=k) > 0
-                rounds[had & ~have] = round2
-                if pool[0].shape[0] == 0:
-                    pool = None
+            pool = groups.pop()
+            if pool[0].shape[0] == 0:
+                pool = None
+        singles = [st for st in groups if st[0].shape[0]]
         round_no = round2
-    return BatchedDenseResult(seeds, rounds, completed, in_mis=in_mis, crashed=crashed)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +547,20 @@ def luby_mis_batched(
 # ---------------------------------------------------------------------------
 
 
-def sinkless_trial_dense(
+def sinkless_trial_batched(
     engine: CSREngine,
+    seeds: Sequence[int],
     min_degree: int = 1,
-    seed: int = 0,
     max_rounds: int = 200,
     faults=None,
     strict: bool = True,
     tracer=None,
-) -> DenseResult:
-    """Trial-and-fix sinkless orientation as dense rounds.
+) -> BatchedDenseResult:
+    """Trial-and-fix sinkless orientation for a batch of seeds at once.
 
-    Mirrors :class:`~repro.orientation.sinkless.TrialAndFixSinkless` driven
-    by :func:`~repro.orientation.sinkless.run_trial_and_fix`'s global probe:
+    Each row mirrors :class:`~repro.orientation.sinkless.TrialAndFixSinkless`
+    driven by :func:`~repro.orientation.sinkless.run_trial_and_fix`'s
+    global probe, for its seed:
 
     * round 1 — every node draws one coin per port (port order); for each
       edge the higher-uid endpoint's coin decides the direction;
@@ -743,28 +572,46 @@ def sinkless_trial_dense(
     * after each round >= 2 the harness-side probe checks the *extracted*
       orientation (lower endpoint's view wins) and stops when sink-free.
 
-    Requires a simple graph (no multi-edges or self-loops): the probe's
+    The fix rounds run in lockstep over ``(trial, slot)`` grids: one 2D
+    segment-mask pass finds every trial's sinks, one keyed-hash call draws
+    every flip port, and one flat scatter applies the flips.  Trials
+    finishing early freeze (their rows stop flipping and leave the probe);
+    survivors iterate.
+
+    Requires a simple graph (:attr:`Network.simple`): the probe's
     orientation dict collapses parallel edges, which has no faithful slot
-    representation.  Returns a :class:`DenseResult` with ``out`` (bool per
-    CSR slot, True = outward in the owner's own view) and ``crashed`` (bool
-    per node).  Raises ``RuntimeError`` if no sink-free round occurs within
+    representation.  Returns a :class:`BatchedDenseResult` with ``out``
+    (bool per trial and CSR slot, True = outward in the owner's own view)
+    and ``crashed`` (bool per trial and node).  ``strict=True`` raises
+    ``RuntimeError`` if *any* trial finds no sink-free round within
     ``max_rounds``, matching the driver; ``strict=False`` instead returns
-    an incomplete result (the scenario runner's mode — under faults,
+    the incomplete rows (the scenario runner's mode — under faults,
     non-recovery is data).
 
-    ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) mirrors the
-    hooked engine from round 2 on: crashed nodes freeze their slot state
-    (they neither flip nor process flips) and leave the sink probe; dropped
-    flip announcements leave the receiving side outward, exactly like the
-    reference's receive phase.  Round-1 faults are not supported here —
-    scenario schedules for sinkless orientation leave the proposal round
-    clean.
+    ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`, one schedule
+    for every trial) mirrors the hooked engine from round 2 on: crashed
+    nodes freeze their slot state (they neither flip nor process flips)
+    and leave the sink probe; dropped flip announcements leave the
+    receiving side outward, exactly like the reference's receive phase;
+    corrupted ones flip the "flip"/"ok" bit.  Round-1 faults are not
+    supported — scenario schedules for sinkless orientation leave the
+    proposal round clean, and a corrupting one is refused.
 
     ``tracer`` records one round record per executed round; ``active`` is
-    the surviving (non-crashed) node count, matching the hook-traced
-    reference where sinkless nodes never halt on their own.
+    the surviving (non-crashed) node count summed over the trials that ran
+    the round, matching the hook-traced engine (where sinkless nodes never
+    halt on their own) for a batch of one.
     """
     require(min_degree >= 1, f"min_degree must be >= 1, got {min_degree}")
+    require(
+        engine.network.simple,
+        "sinkless orientation requires a simple graph (no multi-edges)",
+    )
+    corrupted_out = getattr(faults, "corrupted_out", None)
+    require(
+        corrupted_out is None or corrupted_out(1) is None,
+        "sinkless orientation requires a corruption-free proposal round",
+    )
     trace = tracer is not None and tracer.enabled
     offsets, dst_node, dst_port = engine.dense_arrays()
     n = engine.n
@@ -772,156 +619,8 @@ def sinkless_trial_dense(
     degrees = np.diff(offsets)
     owner = _slot_owner(offsets)
     m = dst_node.shape[0]
-
-    pair_keys = owner * np.int64(n) + dst_node
-    require(
-        np.unique(pair_keys).shape[0] == m,
-        "sinkless_trial_dense requires a simple graph (no multi-edges/self-loops)",
-    )
-    # partner[k]: the CSR slot on the other endpoint of slot k's edge.
-    partner = offsets[:-1][dst_node] + dst_port
-    seed_hash = mix64(seed)
-
-    # Round 1: per-port proposals, higher-uid endpoint's coin wins; the
-    # winner's coin True means "winner's side points outward".
-    if trace:
-        phase_start = time.perf_counter()
-    coins1 = keyed_u01(np, seed_hash, _port_keys(offsets, owner, n), 1) < 0.5
-    higher = uid[owner] > uid[dst_node]
-    out = np.where(higher, coins1, ~coins1[partner])
-    rounds = 1
-    if trace:
-        tracer.round(1, active=n, seconds=time.perf_counter() - phase_start)
-
-    constrained = degrees >= min_degree
-    low_view = owner < dst_node  # extraction rule: lower *index* endpoint's view
-    crashed = np.zeros(n, dtype=bool)
-    faults_expired = getattr(faults, "expired", None)
-    if faults is not None and getattr(faults, "corrupting", False):
-        # The proposal round has no slot-state representation for rewritten
-        # coins; corruption schedules for sinkless orientation must leave
-        # round 1 clean (the scenario runner enforces the same contract).
-        require(
-            faults.corrupted_out(1) is None,
-            "sinkless_trial_dense requires a corruption-free proposal round",
-        )
-
-    for round_no in range(2, max_rounds + 1):
-        if trace:
-            phase_start = time.perf_counter()
-        if faults is not None and faults_expired is not None and faults_expired(round_no):
-            faults = None  # quiet horizon passed: fix rounds run fault-free
-        if faults is not None:
-            crash = faults.crashed_at(round_no)
-            if crash is not None:
-                crashed |= crash
-        # Send phase: sinks by their own view flip one uniformly random port
-        # (crashed nodes are frozen: no draws, no flips).
-        sinks_own = constrained & ~crashed & ~_segment_or(out, offsets)
-        sink_idx = np.flatnonzero(sinks_own)
-        corrupt = None
-        if faults is not None:
-            corrupted_out = getattr(faults, "corrupted_out", None)
-            if corrupted_out is not None:
-                corrupt = corrupted_out(round_no)
-        if corrupt is not None:
-            # Byzantine fix round: every live node sends on every port
-            # ("flip" on a sink's chosen slot, "ok" elsewhere) and the
-            # corruption flips that bit per delivered slot, so the set of
-            # perceived flips is (chosen XOR corrupt) over live endpoints.
-            if sink_idx.shape[0]:
-                ports = _flip_ports(seed_hash, sink_idx, degrees, round_no)
-                chosen = offsets[:-1][sink_idx] + ports
-                out[chosen] = True
-            is_flip = np.zeros(m, dtype=bool)
-            if sink_idx.shape[0]:
-                is_flip[chosen] = True
-            is_flip ^= corrupt
-            mark = is_flip & ~crashed[owner] & ~crashed[dst_node]
-            delivered = faults.delivered_out(round_no)
-            if delivered is not None:
-                mark &= delivered
-            out[partner[np.flatnonzero(mark)]] = False
-        elif sink_idx.shape[0]:
-            ports = _flip_ports(seed_hash, sink_idx, degrees, round_no)
-            chosen = offsets[:-1][sink_idx] + ports
-            out[chosen] = True
-            # Receive phase: the paired port is marked inward.  A doubly
-            # flipped edge has each chosen slot as the other's partner, so
-            # both end False — exactly the reference outcome.  Under faults
-            # the flip announcement must actually arrive: dropped messages
-            # and crashed receivers leave the paired slot untouched.
-            if faults is None:
-                out[partner[chosen]] = False
-            else:
-                keep = ~crashed[dst_node[chosen]]
-                delivered = faults.delivered_out(round_no)
-                if delivered is not None:
-                    keep &= delivered[chosen]
-                out[partner[chosen[keep]]] = False
-        rounds = round_no
-        if trace:
-            tracer.round(
-                round_no,
-                active=int(n - crashed.sum()),
-                seconds=time.perf_counter() - phase_start,
-            )
-        # Probe: extract the orientation (lower-index endpoint's slot is
-        # authoritative) and stop at the first round with no live sink.
-        effective_out = np.where(low_view, out, ~out[partner])
-        if not (constrained & ~crashed & ~_segment_or(effective_out, offsets)).any():
-            return DenseResult(
-                rounds, completed=True, out=out, crashed=crashed
-            )
-    if strict:
-        raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
-    return DenseResult(
-        rounds, completed=False, out=out, crashed=crashed
-    )
-
-
-def sinkless_trial_batched(
-    engine: CSREngine,
-    seeds: Sequence[int],
-    min_degree: int = 1,
-    max_rounds: int = 200,
-    faults=None,
-    strict: bool = True,
-) -> BatchedDenseResult:
-    """Trial-and-fix sinkless orientation for a batch of seeds at once.
-
-    Per trial this is exactly ``sinkless_trial_dense(engine, min_degree,
-    seed=s, ...)`` — same slot states, round counts and
-    crash records — but the fix rounds run in lockstep over ``(trial,
-    slot)`` grids: one 2D segment-mask pass finds every trial's sinks, one
-    keyed-hash call draws every flip port, and one flat scatter applies the
-    flips (scatter order preserves the doubly-flipped-edge-ends-inward
-    reference quirk within each trial).  Trials finishing early freeze
-    (their rows stop flipping and leave the probe); survivors iterate.
-
-    ``faults`` is one shared :class:`~repro.scenarios.masks.DenseFaults`
-    schedule broadcast across the trial axis.  ``strict=True`` raises if
-    *any* trial fails to orient within ``max_rounds``, mirroring the
-    sequential driver; ``strict=False`` returns the incomplete rows.
-    """
-    require(min_degree >= 1, f"min_degree must be >= 1, got {min_degree}")
-    require(
-        not getattr(faults, "corrupting", False),
-        "trial-batched kernels do not implement Byzantine corruption masks",
-    )
-    offsets, dst_node, dst_port = engine.dense_arrays()
-    n = engine.n
-    uid = _uids(engine)
-    degrees = np.diff(offsets)
-    owner = _slot_owner(offsets)
-    m = dst_node.shape[0]
     k = len(seeds)
-
-    pair_keys = owner * np.int64(n) + dst_node
-    require(
-        np.unique(pair_keys).shape[0] == m,
-        "sinkless_trial_batched requires a simple graph (no multi-edges/self-loops)",
-    )
+    # partner[s]: the CSR slot on the other endpoint of slot s's edge.
     partner = offsets[:-1][dst_node] + dst_port
 
     sh = np.array([mix64(int(s)) for s in seeds], dtype=np.uint64)
@@ -933,50 +632,81 @@ def sinkless_trial_batched(
             seeds, rounds, completed, out=np.zeros((0, m), dtype=bool), crashed=crashed
         )
 
-    # Round 1: the same per-port keys as the sequential kernel, one row per
-    # trial seed.
+    # Round 1: per-port proposals, one row per trial seed; the higher-uid
+    # endpoint's coin wins, and True means "winner's side points outward".
+    t0 = time.perf_counter()
     coins1 = keyed_u01(np, sh[:, None], _port_keys(offsets, owner, n), 1) < 0.5
     higher = uid[owner] > uid[dst_node]
-    out = np.where(higher[None, :], coins1, ~coins1[:, partner])
+    out = np.where(higher[None, :], coins1, ~coins1.take(partner, axis=1))
+    if trace:
+        tracer.round(1, active=k * n, seconds=time.perf_counter() - t0)
 
     constrained = degrees >= min_degree
-    low_view = owner < dst_node
+    low_view = owner < dst_node  # extraction rule: lower *index* endpoint's view
     running = np.ones(k, dtype=bool)
     faults_expired = getattr(faults, "expired", None)
     outf = out.ravel()
 
     for round_no in range(2, max_rounds + 1):
+        t0 = time.perf_counter()
         if faults is not None and faults_expired is not None and faults_expired(round_no):
-            faults = None
+            faults = None  # quiet horizon passed: fix rounds run fault-free
+        corrupt = None
         if faults is not None:
             crash = faults.crashed_at(round_no)
             if crash is not None:
                 crashed[running] |= crash
+            if corrupted_out is not None:
+                corrupt = corrupted_out(round_no)
+        # Send phase: sinks by their own view flip one uniformly random port
+        # (crashed nodes are frozen: no draws, no flips).
         sinks_own = (
             running[:, None] & constrained[None, :] & ~crashed
             & ~_segment_or_2d(out, offsets)
         )
         t_idx, v_idx = np.nonzero(sinks_own)
-        if t_idx.shape[0]:
-            ports = _flip_ports(sh[t_idx], v_idx, degrees, round_no)
-            chosen = offsets[:-1][v_idx] + ports
-            base = t_idx * m
-            outf[base + chosen] = True
-            if faults is None:
-                outf[base + partner[chosen]] = False
-            else:
-                keep = ~crashed[t_idx, dst_node[chosen]]
+        flips = t_idx * m + offsets[:-1][v_idx]
+        if flips.shape[0]:
+            flips += _flip_ports(sh[t_idx], v_idx, degrees, round_no)
+            outf[flips] = True
+        if corrupt is not None:
+            # Byzantine fix round: every live node sends on every port
+            # ("flip" on a sink's chosen slot, "ok" elsewhere) and the
+            # corruption flips that bit per slot, so the perceived flips
+            # are (chosen XOR corrupt) over the running trials.
+            is_flip = np.zeros((k, m), dtype=bool)
+            is_flip.ravel()[flips] = True
+            is_flip[running] ^= corrupt
+            flips = np.flatnonzero(is_flip)
+        if flips.shape[0]:
+            # Receive phase: the paired port is marked inward.  A doubly
+            # flipped edge has each chosen slot as the other's partner, so
+            # both end False — exactly the reference outcome.  A flip counts
+            # only between live endpoints (crashed nodes stay frozen even
+            # after the schedule expires) and when the message is delivered.
+            f_t, f_slot = np.divmod(flips, m)
+            keep = ~crashed[f_t, owner[f_slot]] & ~crashed[f_t, dst_node[f_slot]]
+            if faults is not None:
                 delivered = faults.delivered_out(round_no)
                 if delivered is not None:
-                    keep &= delivered[chosen]
-                outf[(base + partner[chosen])[keep]] = False
+                    keep &= delivered[f_slot]
+            outf[(f_t * m + partner[f_slot])[keep]] = False
         rounds[running] = round_no
-        effective_out = np.where(low_view[None, :], out, ~out[:, partner])
-        live = (
+        if trace:
+            tracer.round(
+                round_no,
+                active=int(n * running.sum() - crashed[running].sum()),
+                seconds=time.perf_counter() - t0,
+            )
+        # Probe: extract the orientation (lower-index endpoint's slot is
+        # authoritative) and stop each trial at its first round with no
+        # live sink.
+        effective_out = np.where(low_view[None, :], out, ~out.take(partner, axis=1))
+        sinks_left = (
             constrained[None, :] & ~crashed & ~_segment_or_2d(effective_out, offsets)
         ).any(axis=1)
-        completed[running & ~live] = True
-        running &= live
+        completed[running & ~sinks_left] = True
+        running &= sinks_left
         if not running.any():
             return BatchedDenseResult(seeds, rounds, completed, out=out, crashed=crashed)
     if strict:
@@ -1005,172 +735,87 @@ def dense_orientation(
 # ---------------------------------------------------------------------------
 
 
-def uniform_splitting_dense(
+def uniform_splitting_batched(
     engine: CSREngine,
     spec,
-    seed: int = 0,
+    run_seeds: Sequence[int],
     red: int = 0,
     blue: int = 1,
     faults=None,
     tracer=None,
-) -> DenseResult:
-    """One attempt of the 0-round splitting + 1-round verification, dense.
+) -> BatchedDenseResult:
+    """One attempt of the 0-round splitting + 1-round verification per run seed.
 
-    Mirrors :class:`~repro.apps.splitting.ZeroRoundSplitting` for one run
-    seed: every node draws one coin in ``init`` (keyed as round 1) and
-    colors itself red iff the coin is < 1/2; the verification round counts each
-    node's red neighbors over its CSR segment and checks the spec bounds for
-    constrained degrees.  The Las-Vegas retry loop lives in
+    Each row mirrors :class:`~repro.apps.splitting.ZeroRoundSplitting` for
+    its run seed: every node draws one coin in ``init`` (keyed as round 1)
+    and colors itself red iff the coin is < 1/2; the verification round
+    counts each node's red neighbors over its CSR segment and checks the
+    spec bounds for constrained degrees.  All rows color and verify
+    together on one ``(trial, node)`` coin grid and one 2D segment sum.
+    The Las-Vegas retry loop lives in
     :func:`repro.apps.splitting.uniform_splitting` (``method="dense"``).
 
-    ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`) mirrors the
-    hooked engine on the single round: every node still draws its color in
-    ``init`` (crashes land *after* init), but crashed nodes neither
-    broadcast nor verify, and dropped color messages are excluded from the
-    red-neighbor counts — ``ok`` is
-    then the surviving nodes' own (possibly fault-blinded) verdict, exactly
-    what the distributed Las-Vegas loop would act on.
+    ``faults`` (a :class:`~repro.scenarios.masks.DenseFaults`, one schedule
+    for every row) mirrors the hooked engine on the single round: every
+    node still draws its color in ``init`` (crashes land *after* init), but
+    crashed nodes neither broadcast nor verify, dropped color messages are
+    excluded from the red-neighbor counts, and a corrupted one carries the
+    opposite color — ``ok`` is then the surviving nodes' own (possibly
+    fault-blinded) verdict, exactly what the distributed Las-Vegas loop
+    would act on.
 
-    Returns a :class:`DenseResult` with ``colors`` (int array), ``ok``
-    (bool: every live constrained node inside ``[lo, hi]``) and ``crashed``
-    (bool array); ``rounds`` is 1, the verification round, matching the
-    engine's charge.
+    ``tracer`` records the single round: ``active`` 0 (every node decides
+    and halts, crashed ones included, like the hook-traced executors),
+    ``survivors`` summed over the rows and ``ok`` for the whole batch.
+
+    Returns a :class:`BatchedDenseResult` with ``colors`` (int per row and
+    node), ``ok`` (bool per row: every live constrained node inside
+    ``[lo, hi]``) and ``crashed``; ``rounds`` is 1, the verification round,
+    matching the engine's charge.
     """
     trace = tracer is not None and tracer.enabled
     offsets, dst_node, _ = engine.dense_arrays()
     n = engine.n
     degrees = np.diff(offsets)
+    k = len(run_seeds)
 
-    if trace:
-        phase_start = time.perf_counter()
-    u = keyed_u01(np, mix64(seed), np.arange(n, dtype=np.int64), 1)
-    colors = np.where(u < 0.5, red, blue)
+    t0 = time.perf_counter()
+    hashes = np.array([mix64(int(s)) for s in run_seeds], dtype=np.uint64)
+    u = keyed_u01(np, hashes[:, None], np.arange(n, dtype=np.int64), 1)
+    colors = np.where(u < 0.5, red, blue).astype(np.int64, copy=False)
+    is_red = colors[:, dst_node] == red
     crashed = np.zeros(n, dtype=bool)
-    is_red = colors[dst_node] == red
     if faults is not None:
         corrupted_in = getattr(faults, "corrupted_in", None)
-        if corrupted_in is not None:
-            flip = corrupted_in(1)
-            if flip is not None:
-                # Byzantine color broadcast: a corrupted slot carries the
-                # opposite color (RED <-> BLUE is the whole vocabulary).
-                is_red = is_red ^ flip
-    sent = is_red.astype(np.int64)
-    if faults is not None:
+        flip = corrupted_in(1) if corrupted_in is not None else None
+        if flip is not None:
+            # Byzantine color broadcast: a corrupted slot carries the
+            # opposite color (RED <-> BLUE is the whole vocabulary).
+            is_red ^= flip
         crash = faults.crashed_at(1)
         if crash is not None:
-            crashed |= crash
-            sent &= ~crashed[dst_node]
+            crashed = crash
+            is_red &= ~crashed[dst_node]
         heard = faults.delivered_in(1)
         if heard is not None:
-            sent &= heard
-    red_nbrs = _segment_sum(sent, offsets)
+            is_red &= heard
+    red_nbrs = _segment_sum_2d(is_red.astype(np.int64), offsets)
     # spec.lo / spec.hi / spec.constrains are affine in the degree, so they
     # vectorize directly over the degree array.
     constrained = spec.constrains(degrees) & ~crashed
-    ok = bool(
-        (~constrained | ((red_nbrs >= spec.lo(degrees)) & (red_nbrs <= spec.hi(degrees)))).all()
-    )
+    ok = (
+        ~constrained | ((red_nbrs >= spec.lo(degrees)) & (red_nbrs <= spec.hi(degrees)))
+    ).all(axis=1)
+    crashed = np.broadcast_to(crashed, (k, n)).copy()
     if trace:
-        # Every node decides and halts in the single verification round
-        # (crashed nodes are halted too), so the post-round active count is
-        # 0 — matching the hook-traced executors; survivors ride alongside.
         tracer.round(
             1,
             active=0,
-            survivors=int(n - crashed.sum()),
-            ok=ok,
-            seconds=time.perf_counter() - phase_start,
+            survivors=int(k * n - crashed.sum()),
+            ok=bool(ok.all()),
+            seconds=time.perf_counter() - t0,
         )
-    return DenseResult(
-        1, completed=True, colors=colors, ok=ok, crashed=crashed
-    )
-
-
-def uniform_splitting_batched(
-    engine: CSREngine,
-    spec,
-    seeds: Sequence[int],
-    max_attempts: int = 64,
-    red: int = 0,
-    blue: int = 1,
-    faults=None,
-) -> BatchedDenseResult:
-    """The uniform-splitting Las-Vegas loop for a batch of master seeds.
-
-    Per trial this is exactly the ``method="dense"`` loop of
-    :func:`repro.apps.splitting.uniform_splitting`:
-    each master seed drives its own ``random.Random`` stream of per-attempt
-    run seeds (bit-identical to the sequential loop's draws), and each
-    attempt is one 0-round splitting + verification.  The batching is per
-    attempt: all still-unresolved trials color and verify together on one
-    ``(trial, node)`` coin grid and one 2D segment sum.  Resolved trials
-    freeze; a trial that exhausts ``max_attempts`` keeps its last colors
-    with ``ok=False`` (the wrapper decides whether that is fatal).
-
-    ``faults`` masks are constant across attempts (every attempt replays
-    the same single verification round), so they are built once and
-    broadcast.  Returns a :class:`BatchedDenseResult` with per-trial
-    ``colors``, ``ok``, ``attempts`` and ``crashed``; ``rounds`` counts the
-    attempts consumed (the per-trial ledger charge is one verification
-    round per attempt, applied by the wrapper).
-    """
-    require(max_attempts >= 1, f"max_attempts must be >= 1, got {max_attempts}")
-    require(
-        not getattr(faults, "corrupting", False),
-        "trial-batched kernels do not implement Byzantine corruption masks",
-    )
-    offsets, dst_node, _ = engine.dense_arrays()
-    n = engine.n
-    degrees = np.diff(offsets)
-    k = len(seeds)
-
-    colors = np.full((k, n), blue, dtype=np.int64)
-    ok = np.zeros(k, dtype=bool)
-    attempts = np.zeros(k, dtype=np.int64)
-    if k == 0:
-        return BatchedDenseResult(
-            seeds, attempts, ok.copy(), colors=colors, ok=ok,
-            attempts=attempts, crashed=np.zeros((k, n), dtype=bool),
-        )
-
-    crashed_base = np.zeros(n, dtype=bool)
-    heard = None
-    if faults is not None:
-        crash = faults.crashed_at(1)
-        if crash is not None:
-            crashed_base = crash.copy()
-        heard = faults.delivered_in(1)
-    constrained = spec.constrains(degrees) & ~crashed_base
-    lo = spec.lo(degrees)
-    hi = spec.hi(degrees)
-    node_idx = np.arange(n, dtype=np.int64)
-
-    rngs = [ensure_rng(int(s)) for s in seeds]
-    pend = np.arange(k, dtype=np.int64)
-    for attempt_no in range(1, max_attempts + 1):
-        run_hashes = np.array(
-            [mix64(rngs[t].randrange(2**31)) for t in pend], dtype=np.uint64
-        )
-        u = keyed_u01(np, run_hashes[:, None], node_idx, 1)
-        cols = np.where(u < 0.5, red, blue)
-        sent = (cols[:, dst_node] == red).astype(np.int64)
-        if crashed_base.any():
-            sent &= ~crashed_base[dst_node][None, :]
-        if heard is not None:
-            sent &= heard[None, :]
-        red_nbrs = _segment_sum_2d(sent, offsets)
-        ok_rows = (
-            ~constrained[None, :] | ((red_nbrs >= lo) & (red_nbrs <= hi))
-        ).all(axis=1)
-        colors[pend] = cols
-        attempts[pend] = attempt_no
-        ok[pend[ok_rows]] = True
-        pend = pend[~ok_rows]
-        if pend.shape[0] == 0:
-            break
-    crashed = np.broadcast_to(crashed_base, (k, n)).copy()
     return BatchedDenseResult(
-        seeds, attempts.copy(), ok.copy(),
-        colors=colors, ok=ok, attempts=attempts, crashed=crashed,
+        run_seeds, np.ones(k, dtype=np.int64), np.ones(k, dtype=bool),
+        colors=colors, ok=ok, crashed=crashed,
     )

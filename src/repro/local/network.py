@@ -67,7 +67,8 @@ class Network:
     adjacency:
         ``adjacency[i]`` lists the node indices adjacent to node ``i``.  The
         graph must be symmetric and loop-free; parallel entries are allowed
-        (multi-edges) and are presented to the algorithm as distinct ports.
+        (multi-edges) and are presented to the algorithm as distinct ports;
+        :attr:`simple` records whether there are none.
     ids:
         Unique identifiers (the LOCAL model's O(log n)-bit names).  Defaults
         to the node indices.
@@ -88,6 +89,8 @@ class Network:
                 counts.get((j, i), 0) == c,
                 f"asymmetric adjacency between nodes {i} and {j}",
             )
+        #: True when no node lists a neighbor twice (no multi-edges).
+        self.simple: bool = len(counts) == sum(map(len, self.adjacency))
         if ids is None:
             ids = list(range(n))
         require(len(ids) == n, "ids must have one entry per node")

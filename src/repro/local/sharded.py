@@ -266,7 +266,7 @@ class _ShardFaults:
         self.bound = tuple(bound)
         require(
             not any(getattr(b, "corrupts_messages", False) for b in self.bound),
-            "sharded kernels do not implement Byzantine corruption masks",
+            "the sharded backend has no Byzantine corruption path; use method 'dense'",
         )
         self._crashing = any(b.crashes_nodes for b in self.bound)
         self._droppers = tuple(b for b in self.bound if b.drops_messages)
@@ -505,7 +505,7 @@ def _w_luby_start(key, seed_hash, bound, payload=None):
 def _w_luby_phase_a(key, round1, do_join, payload=None):
     """Rounds ``round1`` (priorities) and the setup of ``round1 + 1``.
 
-    Mirrors :func:`repro.local.dense.luby_mis_dense`'s loop body exactly:
+    Mirrors :func:`repro.local.dense.luby_mis_batched`'s phase exactly:
     expiry check, round-1 crashes leave before drawing, active nodes draw
     keyed priorities, then (unless the mid-phase ``max_rounds`` cap stops
     the trial — ``do_join=False``) round-2 crashes and both delivery masks
@@ -667,9 +667,9 @@ def _w_sink_send(key, round_no, payload=None):
         ).astype(np.int64)
         chosen = sp.offsets[:-1][sink_idx] + ports
         out[chosen] = True
-        keep = np.ones(chosen.shape[0], dtype=bool)
+        # Crashed receivers stay frozen, even after the schedule expires.
+        keep = ~crashed[sp.dst_local[chosen]]
         if faults is not None:
-            keep = ~crashed[sp.dst_local[chosen]]
             delivered = faults.delivered_out(round_no)
             if delivered is not None:
                 keep &= delivered[chosen]
@@ -1180,8 +1180,8 @@ def luby_mis_sharded_batch(
 ) -> List[DenseResult]:
     """Luby's MIS for a batch of seeds on a live executor (shards stay hot).
 
-    Each trial is bit-identical to
-    ``luby_mis_dense(engine, seed=s, ...)`` — same MIS
+    Each trial is bit-identical to the same seed's row of
+    ``luby_mis_batched(engine, seeds, ...)`` — same MIS
     membership, crash records, round counts and completion flags.
     """
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
@@ -1229,14 +1229,18 @@ def sinkless_trial_sharded(
 ) -> DenseResult:
     """Sharded trial-and-fix sinkless orientation.
 
-    Bit-identical per trial to ``sinkless_trial_dense(engine, min_degree,
-    seed=s, ...)``: round-1 proposal coins are keyed by global node and
+    Bit-identical per trial to ``sinkless_trial_batched(engine, [seed],
+    min_degree, ...)``: round-1 proposal coins are keyed by global node and
     port (both endpoints computable shard-locally), and each
     fix round exchanges one ``(post-set out, clear)`` bit pair per cut slot
     — enough for the receiving shard to apply cross-cut flip clears *and*
     reconstruct the partner's final bit for the sink probe.
     """
     require(min_degree >= 1, f"min_degree must be >= 1, got {min_degree}")
+    require(
+        engine.network.simple,
+        "sinkless orientation requires a simple graph (no multi-edges)",
+    )
     if executor is None:
         with ShardedExecutor(
             engine, shards, workers=workers, transport=transport, tracer=tracer
@@ -1246,13 +1250,6 @@ def sinkless_trial_sharded(
                 strict=strict, executor=ex,
             )
     ex = executor
-    offsets, dst_node, _ = engine.dense_arrays()
-    owner = np.repeat(np.arange(engine.n, dtype=np.int64), np.diff(offsets))
-    m = dst_node.shape[0]
-    require(
-        np.unique(owner * np.int64(max(engine.n, 1)) + dst_node).shape[0] == m,
-        "sinkless_trial_sharded requires a simple graph (no multi-edges/self-loops)",
-    )
     bound = _bound_of(faults)
     k = len(ex._handles)
     ex.start_trial()
@@ -1309,7 +1306,7 @@ def uniform_splitting_sharded(
     halo exchange: the driver replays the sequential loop's per-attempt
     ``randrange(2**31)`` seed stream, broadcasts each run hash, and ANDs
     the shard verdicts.  Per attempt this is bit-identical to
-    ``uniform_splitting_dense(engine, spec, seed=run_seed)``.
+    ``uniform_splitting_batched(engine, spec, [run_seed])``.
     Returns the last attempt's colors with ``ok``/``attempts`` fields (the
     pipeline wrapper decides whether a failed final attempt is fatal).
     """

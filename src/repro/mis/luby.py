@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.local.ledger import RoundLedger
 from repro.local.network import LocalAlgorithm, Network, NodeView
 from repro.local.engine import CSREngine, run_local_fast
+from repro.utils.rng import seed_batch
 from repro.utils.validation import require
 
 __all__ = ["LubyMIS", "luby_mis", "is_mis"]
@@ -98,8 +99,8 @@ def luby_mis(
     ``method="engine"`` (default) executes on the batched CSR engine, which
     is bit-identical to the reference :func:`repro.local.network.run_local`
     for a fixed seed.  ``method="dense"`` executes the vectorized numpy
-    kernel (:func:`repro.local.dense.luby_mis_dense`), bit-identical to the
-    engine on the same keyed coins — the mode for n >= 10^5.  Pass a
+    kernel (:func:`repro.local.dense.luby_mis_batched`), bit-identical to
+    the engine on the same keyed coins — the mode for n >= 10^5.  Pass a
     prebuilt ``engine`` (:class:`~repro.local.engine.CSREngine` over the
     same adjacency) to amortize CSR packing across calls.
 
@@ -113,96 +114,63 @@ def luby_mis(
     schedule: the returned set is then the *repaired* survivors' MIS and
     the round count includes the repair rounds.
 
-    ``method="dense-batched"`` solves a whole *batch* of seeds in one
-    kernel call: pass a sequence of seeds as ``seed`` and get back a list
-    of ``(mis, rounds)`` pairs, one per seed, each bit-identical to a
-    ``method="dense"`` run of that seed
-    (:func:`repro.local.dense.luby_mis_batched`).  The ledger is charged
-    per trial.
-
     ``method="dense-sharded"`` partitions the CSR arrays into ``shards``
     node-range shards and runs the rounds shard-local across a persistent
     process pool with per-round halo exchange
     (:func:`repro.local.sharded.luby_mis_sharded`) — bit-identical per
-    trial to ``method="dense"``.  ``seed`` may be an int (one
-    trial) or a sequence of seeds (a batch run on hot shard workers,
-    returning a list like ``dense-batched``); pass ``executor`` (a live
+    trial to ``method="dense"``.  Pass ``executor`` (a live
     :class:`~repro.local.sharded.ShardedExecutor`) to amortize
     partitioning and worker spin-up across calls.
+
+    On the dense methods ``seed`` may also be a sequence of seeds: the
+    whole batch runs in one kernel call (on hot shard workers for
+    ``dense-sharded``) and a list of ``(mis, rounds)`` pairs comes back,
+    one per seed, each identical to a single-seed call.  The ledger is
+    charged per trial.
     """
     require(
-        method in ("engine", "dense", "dense-batched", "dense-sharded"),
+        method in ("engine", "dense", "dense-sharded"),
         f"unknown method {method!r}",
     )
     require(
         not recover or method in ("engine", "dense"),
         "recover=True requires method 'engine' or 'dense'",
     )
-    if method == "dense-sharded":
-        from repro.local.sharded import ShardedExecutor, luby_mis_sharded_batch
+    if method in ("dense", "dense-sharded"):
+        seeds, batched = seed_batch(seed)
+        if engine is None and (method == "dense" or executor is None):
+            engine = CSREngine(Network(adjacency))
+        if method == "dense":
+            from repro.local.dense import luby_mis_batched
 
-        seeds = [seed] if isinstance(seed, int) else list(seed)
-        if executor is not None:
+            batch = luby_mis_batched(engine, seeds, max_rounds=max_rounds, faults=faults)
+            results = [batch.trial(t) for t in range(len(seeds))]
+        elif executor is not None:
+            from repro.local.sharded import luby_mis_sharded_batch
+
             results = luby_mis_sharded_batch(
                 executor, seeds, max_rounds=max_rounds, faults=faults
             )
         else:
-            if engine is None:
-                engine = CSREngine(Network(adjacency))
+            from repro.local.sharded import ShardedExecutor, luby_mis_sharded_batch
+
             with ShardedExecutor(engine, shards) as ex:
                 results = luby_mis_sharded_batch(
                     ex, seeds, max_rounds=max_rounds, faults=faults
                 )
         out: List[Tuple[Set[int], int]] = []
-        for result in results:
-            require(
-                result.completed, "Luby MIS did not terminate within the round cap"
-            )
+        for s, result in zip(seeds, results):
+            require(result.completed, "Luby MIS did not terminate within the round cap")
             if ledger is not None:
                 ledger.charge_simulated(result.rounds, label)
-            out.append(
-                ({int(i) for i in result.in_mis.nonzero()[0]}, result.rounds)
-            )
-        return out[0] if isinstance(seed, int) else out
-    if method == "dense-batched":
-        from repro.local.dense import luby_mis_batched
-
-        if engine is None:
-            engine = CSREngine(Network(adjacency))
-        seeds = list(seed)
-        batch = luby_mis_batched(
-            engine, seeds, max_rounds=max_rounds, faults=faults
-        )
-        require(
-            bool(batch.completed.all()),
-            "Luby MIS did not terminate within the round cap",
-        )
-        out: List[Tuple[Set[int], int]] = []
-        for t in range(len(seeds)):
-            mis = {int(i) for i in batch.in_mis[t].nonzero()[0]}
-            rounds_t = int(batch.rounds[t])
-            if ledger is not None:
-                ledger.charge_simulated(rounds_t, label)
-            out.append((mis, rounds_t))
-        return out
-    if method == "dense":
-        from repro.local.dense import luby_mis_dense
-
-        if engine is None:
-            engine = CSREngine(Network(adjacency))
-        result = luby_mis_dense(
-            engine, seed=seed, max_rounds=max_rounds, faults=faults
-        )
-        require(result.completed, "Luby MIS did not terminate within the round cap")
-        if ledger is not None:
-            ledger.charge_simulated(result.rounds, label)
-        if recover:
-            return _repair_mis(
-                engine, faults, seed, result.in_mis.copy(), result.crashed.copy(),
-                result.rounds, max_rounds, ledger, label,
-            )
-        mis = {int(i) for i in result.in_mis.nonzero()[0]}
-        return mis, result.rounds
+            if recover:
+                out.append(_repair_mis(
+                    engine, faults, s, result.in_mis, result.crashed,
+                    result.rounds, max_rounds, ledger, label,
+                ))
+            else:
+                out.append(({int(i) for i in result.in_mis.nonzero()[0]}, result.rounds))
+        return out if batched else out[0]
     if engine is None and recover:
         engine = CSREngine(Network(adjacency))
     if engine is not None:

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.local.engine import CSREngine
 from repro.local.network import NO_BROADCAST, LocalAlgorithm, Network, NodeView
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike, ensure_rng, seed_batch
 from repro.utils.validation import require
 
 __all__ = [
@@ -218,10 +218,13 @@ def run_trial_and_fix(
     fix round" accounting.
 
     ``method="dense"`` runs the vectorized numpy kernel
-    (:func:`repro.local.dense.sinkless_trial_dense`): bit-identical
+    (:func:`repro.local.dense.sinkless_trial_batched`): bit-identical
     orientation and round count to the engine on the same keyed coins.
     Pass a prebuilt ``engine`` over the same adjacency to amortize CSR
-    packing across calls.  Returns the orientation and the round count.
+    packing across calls.  Returns the orientation and the round count;
+    with a sequence of seeds as ``seed`` the whole batch runs in one
+    kernel call and a list of ``(orientation, rounds)`` pairs comes back,
+    one per seed, each identical to a single-seed call.
 
     ``hooks`` (engine method) / ``faults`` (dense method) inject a faulty
     environment, see :mod:`repro.scenarios` — note the default probe here
@@ -234,68 +237,61 @@ def run_trial_and_fix(
     the same fault schedule.  The fault schedule must leave round 1 (the
     proposal exchange) clean.
 
-    ``method="dense-batched"`` solves a whole batch of seeds in one kernel
-    call: pass a sequence of seeds as ``seed`` and get back a list of
-    ``(orientation, rounds)`` pairs, one per seed, each bit-identical to a
-    ``method="dense"`` run of that seed
-    (:func:`repro.local.dense.sinkless_trial_batched`).
-
     ``method="dense-sharded"`` runs the same trial across node-range CSR
     shards on a persistent process pool with one halo exchange per fix
     round (:func:`repro.local.sharded.sinkless_trial_sharded`) —
     bit-identical per trial to ``method="dense"``.  Pass
     ``executor`` (a live :class:`~repro.local.sharded.ShardedExecutor`) to
     keep shard workers hot across calls; ``shards`` sizes a throwaway one.
+
+    Every method requires a simple graph and raises ``ValueError`` on a
+    multi-edge: the orientation dict has one entry per node pair, so it
+    cannot represent two parallel edges.
     """
     require(
-        method in ("engine", "dense", "dense-batched", "dense-sharded"),
+        method in ("engine", "dense", "dense-sharded"),
         f"unknown method {method!r}",
     )
     require(
         not recover or method in ("engine", "dense"),
         "recover=True requires method 'engine' or 'dense'",
     )
+    if engine is None:
+        engine = CSREngine(Network(adj))
+    require(
+        engine.network.simple,
+        "sinkless orientation requires a simple graph (no multi-edges)",
+    )
     if method == "dense-sharded":
         from repro.local.dense import dense_orientation
         from repro.local.sharded import sinkless_trial_sharded
 
-        if engine is None:
-            engine = CSREngine(Network(adj))
         sharded = sinkless_trial_sharded(
             engine, min_degree=min_degree, seed=seed, shards=shards,
             max_rounds=max_rounds, faults=faults, executor=executor,
         )
         return dense_orientation(engine, sharded.out), sharded.rounds
-    if method == "dense-batched":
+    if method == "dense":
         from repro.local.dense import dense_orientation, sinkless_trial_batched
 
-        if engine is None:
-            engine = CSREngine(Network(adj))
+        seeds, batched = seed_batch(seed)
         batch = sinkless_trial_batched(
-            engine, list(seed), min_degree=min_degree,
-            max_rounds=max_rounds, faults=faults,
+            engine, seeds, min_degree=min_degree, max_rounds=max_rounds,
+            faults=faults, strict=not recover,
         )
-        return [
-            (dense_orientation(engine, batch.out[t]), int(batch.rounds[t]))
-            for t in range(len(batch))
-        ]
-    if method == "dense":
-        from repro.local.dense import dense_orientation, sinkless_trial_dense
+        out = []
+        for t, s in enumerate(seeds):
+            rounds = int(batch.rounds[t])
+            if recover:
+                out.append(_repair_orientation(
+                    engine, faults, s, batch.out[t], batch.crashed[t],
+                    min_degree, rounds, max_rounds,
+                ))
+            else:
+                out.append((dense_orientation(engine, batch.out[t]), rounds))
+        return out if batched else out[0]
 
-        if engine is None:
-            engine = CSREngine(Network(adj))
-        dense = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed,
-            max_rounds=max_rounds, faults=faults, strict=not recover,
-        )
-        if recover:
-            return _repair_orientation(
-                engine, faults, seed, dense.out.copy(), dense.crashed.copy(),
-                min_degree, dense.rounds, max_rounds,
-            )
-        return dense_orientation(engine, dense.out), dense.rounds
-
-    net = engine.network if engine is not None else Network(adj)
+    net = engine.network
     if net.n == 0 and max_rounds >= 2:
         # Nothing runs on an empty network, yet it is trivially sink-free:
         # charge the proposal and first fix round, like the dense kernels.
@@ -314,8 +310,6 @@ def run_trial_and_fix(
         # repair tail owns whatever defects remain.
         return not any(not views[v].state.get("crashed") for v in remaining)
 
-    if engine is None:
-        engine = CSREngine(net)
     result = engine.run(algo, max_rounds=max_rounds, seed=seed, probe=probe, hooks=hooks)
     if recover:
         import numpy as np

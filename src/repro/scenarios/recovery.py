@@ -543,14 +543,13 @@ def luby_mis_recovering(
     engine = _build_engine(adjacency, engine)
     bound = bind_all(perturbations, engine.network, seed)
     if method == "dense":
-        from repro.local.dense import luby_mis_dense
+        from repro.local.dense import luby_mis_batched
 
-        result = luby_mis_dense(
-            engine, seed=seed, max_rounds=max_rounds,
-            faults=DenseFaults(engine, bound),
-        )
-        in_mis = result.in_mis.copy()
-        crashed = result.crashed.copy()
+        result = luby_mis_batched(
+            engine, [seed], max_rounds=max_rounds, faults=DenseFaults(engine, bound),
+        ).trial(0)
+        in_mis = result.in_mis
+        crashed = result.crashed
         rounds = result.rounds
     else:
         from repro.mis.luby import LubyMIS
@@ -600,15 +599,14 @@ def sinkless_recovering(
     network = engine.network
     bound = bind_all(perturbations, network, seed)
     if method == "dense":
-        from repro.local.dense import sinkless_trial_dense
+        from repro.local.dense import sinkless_trial_batched
 
-        result = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed,
-            max_rounds=max_rounds, faults=DenseFaults(engine, bound),
-            strict=False,
-        )
-        out = result.out.copy()
-        crashed = result.crashed.copy()
+        result = sinkless_trial_batched(
+            engine, [seed], min_degree=min_degree, max_rounds=max_rounds,
+            faults=DenseFaults(engine, bound), strict=False,
+        ).trial(0)
+        out = result.out
+        crashed = result.crashed
         rounds = result.rounds
     else:
         from repro.orientation.sinkless import TrialAndFixSinkless, sinks
@@ -681,15 +679,15 @@ def splitting_recovering(
         run_seed = rng.randrange(2**31)
         attempt_bound = bind_all(perturbations, network, run_seed)
         if method == "dense":
-            from repro.local.dense import uniform_splitting_dense
+            from repro.local.dense import uniform_splitting_batched
 
-            result = uniform_splitting_dense(
-                engine, spec, seed=run_seed, red=RED, blue=BLUE,
+            result = uniform_splitting_batched(
+                engine, spec, [run_seed], red=RED, blue=BLUE,
                 faults=DenseFaults(engine, attempt_bound),
-            )
-            colors = result.colors.astype(np.int64).copy()
-            crashed = result.crashed.copy()
-            accepted = result.ok
+            ).trial(0)
+            colors = result.colors
+            crashed = result.crashed
+            accepted = bool(result.ok)
         else:
             from repro.apps.splitting import ZeroRoundSplitting
 

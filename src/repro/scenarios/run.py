@@ -247,13 +247,13 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
     adjacency = network.adjacency
     edge_ok = final_edge_ok(bound)
     if backend == "dense":
-        from repro.local.dense import luby_mis_dense
+        from repro.local.dense import luby_mis_batched
         from repro.scenarios.masks import DenseFaults
 
-        result = luby_mis_dense(
-            engine, seed=seed, max_rounds=max_rounds,
+        result = luby_mis_batched(
+            engine, [seed], max_rounds=max_rounds,
             faults=DenseFaults(engine, bound, layout=layout), tracer=tracer,
-        )
+        ).trial(0)
         alive = [not c for c in result.crashed]
         mis = {int(i) for i in result.in_mis.nonzero()[0]}
         completed = result.completed
@@ -385,17 +385,15 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds,
         )
     # Recovery dynamics start with the fix rounds.
     if backend == "dense":
-        from repro.local.dense import sinkless_trial_dense
+        from repro.local.dense import dense_orientation, sinkless_trial_batched
         from repro.scenarios.masks import DenseFaults
 
-        result = sinkless_trial_dense(
-            engine, min_degree=min_degree, seed=seed,
+        result = sinkless_trial_batched(
+            engine, [seed], min_degree=min_degree,
             max_rounds=max_rounds, faults=DenseFaults(engine, bound, layout=layout),
             strict=False, tracer=tracer,
-        )
+        ).trial(0)
         alive = [not c for c in result.crashed]
-        from repro.local.dense import dense_orientation
-
         orientation = dense_orientation(engine, result.out)
         completed = result.completed
         rounds = result.rounds
@@ -486,7 +484,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts,
     spec = UniformSplittingSpec(eps=sc.eps, min_constrained_degree=max(2, degree // 2))
     rng = ensure_rng(seed)
     if backend == "dense":
-        from repro.local.dense import uniform_splitting_dense
+        from repro.local.dense import uniform_splitting_batched
         from repro.scenarios.masks import DenseFaults
     partition: List[Optional[int]] = [None] * network.n
     alive = [True] * network.n
@@ -501,14 +499,14 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts,
         # retries (a frozen adversary instead of an i.i.d. channel).
         attempt_bound = bind_all(sc.perturbations, network, fault_seed=run_seed)
         if backend == "dense":
-            result = uniform_splitting_dense(
-                engine, spec, seed=run_seed,
+            result = uniform_splitting_batched(
+                engine, spec, [run_seed],
                 faults=DenseFaults(engine, attempt_bound, layout=layout),
                 tracer=tracer,
-            )
+            ).trial(0)
             partition = [int(c) for c in result.colors]
             alive = [not c for c in result.crashed]
-            accepted = result.ok
+            accepted = bool(result.ok)
         else:
             hooks = PerturbationHooks(attempt_bound)
             if tracer is not None and tracer.enabled:

@@ -12,11 +12,13 @@ perturbs another's, and every backend draws the same values.
 
 from __future__ import annotations
 
+import numbers
 import random
-from typing import Union
+from typing import List, Tuple, Union
 
 __all__ = [
     "ensure_rng",
+    "seed_batch",
     "NodeCoins",
     "mix64",
     "keyed_hash53",
@@ -96,6 +98,14 @@ def ensure_rng(seed: SeedLike = None) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
+
+
+def seed_batch(seed) -> Tuple[List, bool]:
+    """``(seeds, batched)``: a sequence of seeds is a batch, anything else
+    (``None``, an int, a :class:`random.Random`) is a batch of one."""
+    if seed is None or isinstance(seed, (numbers.Integral, random.Random)):
+        return [seed], False
+    return list(seed), True
 
 
 class NodeCoins:

@@ -51,3 +51,27 @@ def cycle_graph(n: int):
 def complete_graph(n: int):
     """Adjacency list of K_n."""
     return [[w for w in range(n) if w != v] for v in range(n)]
+
+
+# One trial on a dense kernel is a batch of one seed.
+
+
+def dense_luby(engine, seed=0, **kwargs):
+    """``luby_mis_batched`` for the single seed ``seed``, as a DenseResult."""
+    from repro.local.dense import luby_mis_batched
+
+    return luby_mis_batched(engine, [seed], **kwargs).trial(0)
+
+
+def dense_sinkless(engine, seed=0, **kwargs):
+    """``sinkless_trial_batched`` for the single seed ``seed``."""
+    from repro.local.dense import sinkless_trial_batched
+
+    return sinkless_trial_batched(engine, [seed], **kwargs).trial(0)
+
+
+def dense_split(engine, spec, seed=0, **kwargs):
+    """``uniform_splitting_batched`` for the single run seed ``seed``."""
+    from repro.local.dense import uniform_splitting_batched
+
+    return uniform_splitting_batched(engine, spec, [seed], **kwargs).trial(0)

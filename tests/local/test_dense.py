@@ -4,8 +4,8 @@ Two contracts from ``repro/local/dense.py``:
 
 * every dense kernel is **bit-identical** to the CSR engine (itself
   bit-identical to ``run_local``) on the same keyed coins — same outputs
-  and round counts for any graph and seed; property-tested here on random
-  graphs at n <= 200 across seeds;
+  and round counts for any graph and seed; property-tested here, one seed
+  per call (a batch of one), on random graphs at n <= 200 across seeds;
 * every output must satisfy the algorithm's validity predicate
   (independence + maximality, sinklessness, splitting discrepancy bounds),
   checked across many seeds.
@@ -26,14 +26,10 @@ from repro.bipartite.generators import (  # noqa: E402
 from repro.core.problems import UniformSplittingSpec  # noqa: E402
 from repro.core.verifiers import uniform_splitting_violations  # noqa: E402
 from repro.local import CSREngine, Network, run_local  # noqa: E402
-from repro.local.dense import (  # noqa: E402
-    dense_orientation,
-    luby_mis_dense,
-    sinkless_trial_dense,
-    uniform_splitting_dense,
-)
+from repro.local.dense import dense_orientation, luby_mis_batched  # noqa: E402
 from repro.mis.luby import LubyMIS, is_mis, luby_mis  # noqa: E402
 from repro.orientation.sinkless import is_sinkless, run_trial_and_fix  # noqa: E402
+from tests.conftest import dense_luby, dense_sinkless, dense_split  # noqa: E402
 
 
 def engine_mis(engine, seed, max_rounds=10_000):
@@ -53,7 +49,7 @@ class TestLubyEngineIdentity:
             engine = CSREngine(net)
             for seed in (0, 1, 7):
                 mis, rounds, completed = engine_mis(engine, seed)
-                dense = luby_mis_dense(engine, seed=seed)
+                dense = dense_luby(engine, seed=seed)
                 assert dense.rounds == rounds
                 assert dense.completed == completed
                 assert [bool(x) for x in dense.in_mis] == mis
@@ -72,7 +68,7 @@ class TestLubyEngineIdentity:
             engine = CSREngine(net)
             for seed in (3, 11):
                 mis, rounds, _ = engine_mis(engine, seed)
-                dense = luby_mis_dense(engine, seed=seed)
+                dense = dense_luby(engine, seed=seed)
                 assert dense.rounds == rounds
                 assert [bool(x) for x in dense.in_mis] == mis
 
@@ -82,14 +78,14 @@ class TestLubyEngineIdentity:
         engine = CSREngine(Network(adj))
         for seed in (0, 5):
             mis, rounds, _ = engine_mis(engine, seed)
-            dense = luby_mis_dense(engine, seed=seed)
+            dense = dense_luby(engine, seed=seed)
             assert dense.rounds == rounds and [bool(x) for x in dense.in_mis] == mis
 
     def test_edgeless_and_tiny_graphs(self):
         for adj in ([], [[]], [[], []], [[1], [0]]):
             engine = CSREngine(Network(adj))
             mis, rounds, completed = engine_mis(engine, 0)
-            dense = luby_mis_dense(engine, seed=0)
+            dense = dense_luby(engine, seed=0)
             assert dense.rounds == rounds and dense.completed == completed
             assert [bool(x) for x in dense.in_mis] == mis
 
@@ -106,7 +102,7 @@ class TestLubyEngineIdentity:
             engine = CSREngine(Network(adj))
             for seed in (0, 1, 2, 5):
                 mis, rounds, completed = engine_mis(engine, seed)
-                dense = luby_mis_dense(engine, seed=seed)
+                dense = dense_luby(engine, seed=seed)
                 assert [bool(x) for x in dense.in_mis] == mis, (adj, seed)
                 assert dense.rounds == rounds and dense.completed == completed
                 assert is_mis(adj, {int(i) for i in dense.in_mis.nonzero()[0]})
@@ -116,7 +112,7 @@ class TestLubyEngineIdentity:
         engine = CSREngine(Network(adj))
         for cap in (0, 1, 2, 3):
             mis, rounds, completed = engine_mis(engine, 1, max_rounds=cap)
-            dense = luby_mis_dense(engine, seed=1, max_rounds=cap)
+            dense = dense_luby(engine, seed=1, max_rounds=cap)
             assert dense.rounds == rounds
             assert dense.completed == completed
 
@@ -135,7 +131,7 @@ class TestSinklessEngineIdentity:
             engine = CSREngine(Network(adj))
             for seed in (0, 3):
                 orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=seed)
-                dense = sinkless_trial_dense(engine, min_degree=2, seed=seed)
+                dense = dense_sinkless(engine, min_degree=2, seed=seed)
                 assert dense.rounds == rounds
                 assert dense_orientation(engine, dense.out) == orientation
 
@@ -148,7 +144,7 @@ class TestSinklessEngineIdentity:
             engine = CSREngine(Network(adj))
             for seed in (1, 4):
                 orientation, rounds = run_trial_and_fix(adj, min_degree=1, seed=seed)
-                dense = sinkless_trial_dense(engine, min_degree=1, seed=seed)
+                dense = dense_sinkless(engine, min_degree=1, seed=seed)
                 assert dense.rounds == rounds
                 assert dense_orientation(engine, dense.out) == orientation
 
@@ -162,7 +158,7 @@ class TestSinklessEngineIdentity:
     def test_multi_edge_rejected(self):
         engine = CSREngine(Network([[1, 1], [0, 0]]))
         with pytest.raises(ValueError):
-            sinkless_trial_dense(engine, seed=0)
+            dense_sinkless(engine, seed=0)
 
     def test_trailing_isolated_nodes(self):
         # Regression companion to the Luby case: the sink checks (own-view
@@ -171,7 +167,7 @@ class TestSinklessEngineIdentity:
         engine = CSREngine(Network(adj))
         for seed in (0, 1, 3):
             orientation, rounds = run_trial_and_fix(adj, min_degree=2, seed=seed)
-            dense = sinkless_trial_dense(engine, min_degree=2, seed=seed)
+            dense = dense_sinkless(engine, min_degree=2, seed=seed)
             assert dense.rounds == rounds
             assert dense_orientation(engine, dense.out) == orientation
 
@@ -180,7 +176,7 @@ class TestSinklessEngineIdentity:
         adj = [[1, 2], [0, 2], [0, 1]]
         engine = CSREngine(Network(adj))
         with pytest.raises(RuntimeError):
-            sinkless_trial_dense(engine, min_degree=2, seed=0, max_rounds=1)
+            dense_sinkless(engine, min_degree=2, seed=0, max_rounds=1)
 
 
 class TestSplittingEngineIdentity:
@@ -201,7 +197,7 @@ class TestSplittingEngineIdentity:
         spec = UniformSplittingSpec(eps=0.45, min_constrained_degree=2)
         for run_seed in range(6):
             result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed)
-            dense = uniform_splitting_dense(engine, spec, seed=run_seed)
+            dense = dense_split(engine, spec, seed=run_seed)
             assert [int(c) for c in dense.colors] == [c for c, _ in result.outputs()]
             assert dense.ok == all(ok for _, ok in result.outputs())
 
@@ -213,7 +209,7 @@ class TestSplittingEngineIdentity:
         spec = UniformSplittingSpec(eps=0.3, min_constrained_degree=10)
         for run_seed in (0, 1, 2, 99):
             result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed)
-            dense = uniform_splitting_dense(engine, spec, seed=run_seed)
+            dense = dense_split(engine, spec, seed=run_seed)
             assert [int(c) for c in dense.colors] == [c for c, _ in result.outputs()]
             assert dense.ok == all(ok for _, ok in result.outputs())
             assert dense.rounds == result.rounds == 1
@@ -227,7 +223,7 @@ class TestKeyedStatisticalValidity:
             adj = random_sparse_graph(300, 6, seed=trial)
             engine = CSREngine(Network(adj))
             for seed in range(8):
-                dense = luby_mis_dense(engine, seed=seed)
+                dense = dense_luby(engine, seed=seed)
                 assert dense.completed
                 assert is_mis(adj, {int(i) for i in dense.in_mis.nonzero()[0]})
 
@@ -236,7 +232,7 @@ class TestKeyedStatisticalValidity:
             adj = configuration_model_regular(120, 3, seed=trial)
             engine = CSREngine(Network(adj))
             for seed in range(6):
-                dense = sinkless_trial_dense(engine, min_degree=3, seed=seed)
+                dense = dense_sinkless(engine, min_degree=3, seed=seed)
                 orientation = dense_orientation(engine, dense.out)
                 assert is_sinkless(adj, orientation, min_degree=3)
                 assert dense.rounds >= 2
@@ -262,7 +258,7 @@ class TestKeyedStatisticalValidity:
         # O(log n) w.h.p.: generous cap, but it must not blow up.
         adj = random_sparse_graph(2000, 10, seed=1)
         engine = CSREngine(Network(adj))
-        dense = luby_mis_dense(engine, seed=0)
+        dense = dense_luby(engine, seed=0)
         assert dense.completed and dense.rounds <= 40
 
 
@@ -280,6 +276,6 @@ class TestDenseArraysOnEngine:
     def test_lazy_exports_resolve(self):
         import repro.local as local
 
-        assert local.luby_mis_dense is luby_mis_dense
+        assert local.luby_mis_batched is luby_mis_batched
         with pytest.raises(AttributeError):
             local.not_a_kernel

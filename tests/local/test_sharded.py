@@ -16,11 +16,6 @@ import pytest
 from repro.bipartite.generators import random_regular_graph, random_sparse_graph
 from repro.core.problems import UniformSplittingSpec
 from repro.local import CSREngine, Network
-from repro.local.dense import (
-    luby_mis_dense,
-    sinkless_trial_dense,
-    uniform_splitting_dense,
-)
 from repro.local.sharded import (
     ShardedExecutor,
     luby_mis_sharded,
@@ -31,6 +26,7 @@ from repro.local.sharded import (
 from repro.scenarios import CrashNodes, IIDMessageDrop, MuteHubs, bind_all
 from repro.scenarios.masks import DenseFaults
 from repro.utils.rng import ensure_rng
+from tests.conftest import dense_luby, dense_sinkless, dense_split
 
 SHARD_COUNTS = (1, 2, 7)
 
@@ -68,13 +64,13 @@ class TestLubyBitIdentity:
     def test_shard_counts(self):
         engine = engine_of(random_sparse_graph(150, 8, seed=1))
         for seed in range(3):
-            reference = luby_mis_dense(engine, seed=seed)
+            reference = dense_luby(engine, seed=seed)
             for shards in SHARD_COUNTS:
                 assert_luby_matches(engine, seed, reference, shards=shards)
 
     def test_uneven_explicit_bounds(self):
         engine = engine_of(random_sparse_graph(120, 10, seed=2))
-        reference = luby_mis_dense(engine, seed=5)
+        reference = dense_luby(engine, seed=5)
         with ShardedExecutor(engine, bounds=[3, 7, 110], workers=0) as ex:
             result = luby_mis_sharded(engine, seed=5, executor=ex)
         assert result.rounds == reference.rounds
@@ -83,13 +79,13 @@ class TestLubyBitIdentity:
     def test_multigraph(self):
         engine = engine_of(multigraph())
         for shards in SHARD_COUNTS:
-            reference = luby_mis_dense(engine, seed=9)
+            reference = dense_luby(engine, seed=9)
             assert_luby_matches(engine, 9, reference, shards=shards)
 
     @pytest.mark.parametrize("max_rounds", [0, 1, 2, 3, 5])
     def test_round_caps_freeze_identically(self, max_rounds):
         engine = engine_of(random_sparse_graph(100, 12, seed=4))
-        reference = luby_mis_dense(
+        reference = dense_luby(
             engine, seed=1, max_rounds=max_rounds
         )
         assert_luby_matches(engine, 1, reference, shards=3, max_rounds=max_rounds)
@@ -107,7 +103,7 @@ class TestFaultyBitIdentity:
 
     def test_luby_under_fault_stack(self):
         engine = engine_of(random_sparse_graph(150, 8, seed=6))
-        reference = luby_mis_dense(
+        reference = dense_luby(
             engine, seed=2, faults=self.faults(engine)
         )
         assert reference.crashed.any()
@@ -120,7 +116,7 @@ class TestFaultyBitIdentity:
         engine = engine_of(random_regular_graph(60, 4, seed=7))
         faults = (IIDMessageDrop(p=0.1, from_round=1, until_round=3),)
         bound = bind_all(faults, engine.network, fault_seed=3)
-        reference = sinkless_trial_dense(
+        reference = dense_sinkless(
             engine, min_degree=2, seed=1,
             faults=DenseFaults(engine, bound),
         )
@@ -146,7 +142,7 @@ class TestFaultyBitIdentity:
         rng = ensure_rng(3)
         for _ in range(result.attempts):
             run_seed = rng.randrange(2**31)
-        reference = uniform_splitting_dense(
+        reference = dense_split(
             engine, spec, seed=run_seed,
             faults=DenseFaults(engine, bound),
         )
@@ -159,7 +155,7 @@ class TestSinklessAndSplitting:
     def test_sinkless_shard_counts(self):
         engine = engine_of(random_regular_graph(80, 4, seed=10))
         for seed in range(2):
-            reference = sinkless_trial_dense(
+            reference = dense_sinkless(
                 engine, min_degree=1, seed=seed
             )
             for shards in SHARD_COUNTS:
@@ -186,7 +182,7 @@ class TestSinklessAndSplitting:
             rng = ensure_rng(1)
             for _ in range(result.attempts):
                 run_seed = rng.randrange(2**31)
-            reference = uniform_splitting_dense(
+            reference = dense_split(
                 engine, spec, seed=run_seed
             )
             assert (result.colors == reference.colors).all()
@@ -202,7 +198,7 @@ class TestShardPlans:
 
     def test_more_shards_than_nodes(self):
         engine = engine_of([[1], [0], [3], [2]])
-        reference = luby_mis_dense(engine, seed=0)
+        reference = dense_luby(engine, seed=0)
         assert_luby_matches(engine, 0, reference, shards=19)
 
     def test_max_shard_slots_sizes_the_plan(self):
@@ -221,7 +217,7 @@ class TestShardPlans:
     def test_isolated_nodes_and_singleton_components(self):
         adj = [[], [2], [1], [], [5], [4], []]
         engine = engine_of(adj)
-        reference = luby_mis_dense(engine, seed=0)
+        reference = dense_luby(engine, seed=0)
         for shards in SHARD_COUNTS:
             assert_luby_matches(engine, 0, reference, shards=shards)
 
@@ -231,21 +227,21 @@ class TestRealWorkerPool:
 
     def test_shm_transport(self):
         engine = engine_of(random_sparse_graph(300, 10, seed=14))
-        reference = luby_mis_dense(engine, seed=1)
+        reference = dense_luby(engine, seed=1)
         result = luby_mis_sharded(engine, seed=1, shards=2)
         assert result.rounds == reference.rounds
         assert (result.in_mis == reference.in_mis).all()
 
     def test_pickle_transport(self):
         engine = engine_of(random_sparse_graph(300, 10, seed=14))
-        reference = luby_mis_dense(engine, seed=1)
+        reference = dense_luby(engine, seed=1)
         result = luby_mis_sharded(engine, seed=1, shards=2, transport="pickle")
         assert result.rounds == reference.rounds
         assert (result.in_mis == reference.in_mis).all()
 
     def test_killed_worker_heals_and_stays_bit_identical(self):
         engine = engine_of(random_sparse_graph(200, 8, seed=15))
-        reference = luby_mis_dense(engine, seed=4)
+        reference = dense_luby(engine, seed=4)
         with ShardedExecutor(engine, 2) as ex:
             first = luby_mis_sharded(engine, seed=4, executor=ex)
             ex.inject_worker_failure(0)
@@ -260,7 +256,7 @@ class TestRealWorkerPool:
         with ShardedExecutor(engine, 2) as ex:
             partition = ex.plan.partition_seconds
             for seed in range(3):
-                reference = luby_mis_dense(engine, seed=seed)
+                reference = dense_luby(engine, seed=seed)
                 result = luby_mis_sharded(engine, seed=seed, executor=ex)
                 assert (result.in_mis == reference.in_mis).all()
                 assert result.partition_seconds == partition
@@ -276,7 +272,7 @@ class TestPipelineDispatch:
         adj = random_sparse_graph(150, 8, seed=17)
         mis, rounds = luby_mis(adj, seed=1, method="dense-sharded", shards=2)
         engine = engine_of(adj)
-        reference = luby_mis_dense(engine, seed=1)
+        reference = dense_luby(engine, seed=1)
         assert mis == {int(i) for i in reference.in_mis.nonzero()[0]}
         assert rounds == reference.rounds
         assert is_mis(adj, mis)
@@ -291,7 +287,7 @@ class TestPipelineDispatch:
             adj, min_degree=1, seed=1, method="dense-sharded", shards=2
         )
         engine = engine_of(adj)
-        reference = sinkless_trial_dense(engine, min_degree=1, seed=1)
+        reference = dense_sinkless(engine, min_degree=1, seed=1)
         assert rounds == reference.rounds
 
     def test_splitting_dispatch(self):
@@ -311,7 +307,7 @@ DEGENERATE = {
     "trailing-isolated": [[1, 2], [0, 2], [0, 1], [], []],
     "star": [[1, 2, 3, 4, 5], [0], [0], [0], [0], [0]],
 }
-#: Multi-edges: Luby and splitting only (the sinkless kernels need simple graphs).
+#: Multi-edges: Luby and splitting only (sinkless orientation needs a simple graph).
 MULTI = {"multi-edge": [[1, 1, 2], [0, 0, 2], [0, 1]]}
 
 
@@ -354,8 +350,9 @@ def reference_splitting(adj, spec, seed, max_attempts=64):
 
 
 class TestDefaultCoinsAgreeAcrossDenseMethods:
-    """One coin contract: the reference simulator, the engine, ``dense``,
-    ``dense-batched`` and ``dense-sharded`` return the same output per seed."""
+    """One coin contract: the reference simulator, the engine, ``dense``
+    (one seed per call, and a seed list in one call) and ``dense-sharded``
+    return the same output per seed."""
 
     SEEDS = [0, 1, 2]
 
@@ -369,7 +366,7 @@ class TestDefaultCoinsAgreeAcrossDenseMethods:
 
         engine = engine_of(adj)
         dense = [luby_mis(adj, seed=s, method="dense", engine=engine) for s in self.SEEDS]
-        batched = luby_mis(adj, seed=self.SEEDS, method="dense-batched", engine=engine)
+        batched = luby_mis(adj, seed=self.SEEDS, method="dense", engine=engine)
         with ShardedExecutor(engine, 2, workers=0) as ex:
             sharded = [
                 luby_mis(adj, seed=s, method="dense-sharded", engine=engine, executor=ex)
@@ -392,7 +389,7 @@ class TestDefaultCoinsAgreeAcrossDenseMethods:
         engine = engine_of(adj)
         kw = {"min_degree": min_degree, "engine": engine}
         dense = [run_trial_and_fix(adj, seed=s, method="dense", **kw) for s in self.SEEDS]
-        batched = run_trial_and_fix(adj, seed=self.SEEDS, method="dense-batched", **kw)
+        batched = run_trial_and_fix(adj, seed=self.SEEDS, method="dense", **kw)
         with ShardedExecutor(engine, 2, workers=0) as ex:
             sharded = [
                 run_trial_and_fix(adj, seed=s, method="dense-sharded", executor=ex, **kw)
@@ -424,7 +421,7 @@ class TestDefaultCoinsAgreeAcrossDenseMethods:
             for s in self.SEEDS
         ]
         batched = uniform_splitting(
-            adj, spec, seed=self.SEEDS, method="dense-batched", engine=engine
+            adj, spec, seed=self.SEEDS, method="dense", engine=engine
         )
         with ShardedExecutor(engine, 2, workers=0) as ex:
             sharded = [

@@ -82,3 +82,11 @@ class TestTrialAndFix:
         adj = random_regular_graph(30, 6, seed=6)
         _, rounds = run_trial_and_fix(adj, seed=3)
         assert rounds <= 30
+
+    # The engine used to orient [[1, 1], [0, 0]] as {(1, 0): True, (0, 1): True}
+    # ("edge (0, 1) oriented twice" to is_sinkless) while dense raised.
+    @pytest.mark.parametrize("method", ["engine", "dense", "dense-sharded"])
+    def test_rejects_multigraph_on_every_method(self, method):
+        for adj in ([[1, 1], [0, 0]], [[1, 1, 2], [0, 0, 2], [0, 1]]):
+            with pytest.raises(ValueError, match="simple graph"):
+                run_trial_and_fix(adj, seed=0, method=method, shards=2)

@@ -14,11 +14,6 @@ from repro.apps.splitting import ZeroRoundSplitting
 from repro.bipartite.generators import random_sparse_graph
 from repro.core.problems import UniformSplittingSpec
 from repro.local import CSREngine, Network, run_local
-from repro.local.dense import (
-    luby_mis_dense,
-    sinkless_trial_dense,
-    uniform_splitting_dense,
-)
 from repro.mis.luby import LubyMIS
 from repro.orientation.sinkless import TrialAndFixSinkless, sinks
 from repro.scenarios import (
@@ -33,6 +28,7 @@ from repro.scenarios import (
     orientation_from_views,
 )
 from repro.scenarios.masks import DenseFaults
+from tests.conftest import dense_luby, dense_sinkless, dense_split
 
 
 def random_multigraph(rng, n):
@@ -145,7 +141,7 @@ class TestDenseEngineIdentityUnderFaults:
                     assert din is None
                 else:
                     assert np.array_equal(din, out[faults.layout.partner])
-            dense = luby_mis_dense(engine, seed=seed,
+            dense = dense_luby(engine, seed=seed,
                                    max_rounds=40, faults=faults)
             assert dense.rounds == eng.rounds
             assert dense.completed == eng.completed
@@ -187,7 +183,7 @@ class TestDenseEngineIdentityUnderFaults:
 
             eng = engine.run(algo, max_rounds=max_rounds, seed=seed,
                              hooks=PerturbationHooks(bound), probe=probe)
-            dense = sinkless_trial_dense(
+            dense = dense_sinkless(
                 engine, min_degree=2, seed=seed,
                 max_rounds=max_rounds, faults=DenseFaults(engine, bound),
                 strict=False,
@@ -215,7 +211,7 @@ class TestDenseEngineIdentityUnderFaults:
             bound = bind_all(perts, net, fault_seed=seed)
             eng = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=seed,
                              hooks=PerturbationHooks(bound))
-            dense = uniform_splitting_dense(
+            dense = dense_split(
                 engine, spec, seed=seed,
                 faults=DenseFaults(engine, bound),
             )

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.local import CSREngine, Network
-from repro.local.dense import luby_mis_dense
 from repro.mis.luby import LubyMIS
 from repro.scenarios import (
     CrashNodes,
@@ -38,6 +37,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.masks import DenseFaults, SlotLayout
+from tests.conftest import dense_luby
 
 
 def small_graph(seed, n=24, edges=70):
@@ -211,7 +211,7 @@ class TestQuietHorizon:
                 return super().delivered_out(round_no)
 
         faults = Counting(engine, bound)
-        result = luby_mis_dense(engine, seed=1, faults=faults)
+        result = dense_luby(engine, seed=1, faults=faults)
         assert result.completed
         # Only rounds 1..quiet+1 may query masks; the tail pays nothing.
         assert Counting.calls <= 2 * (faults.quiet + 1)
@@ -246,7 +246,7 @@ class TestCorruptionMasks:
             net, fault_seed=5,
         )
         faults = DenseFaults(engine, bound, layout=layout)
-        assert faults.corrupting
+        assert faults.corrupted_out(2) is not None
         for round_no in (1, 2, 3, 5, 6, 40):
             cout = faults.corrupted_out(round_no)
             got = cout if cout is not None else np.zeros(layout.partner.shape, bool)
@@ -306,7 +306,7 @@ class TestBackendAgreement:
             bound = bind_all(perts, net, fault_seed=seed)
             eng = engine.run(LubyMIS(), max_rounds=40, seed=seed,
                              hooks=PerturbationHooks(bound))
-            dense = luby_mis_dense(engine, seed=seed,
+            dense = dense_luby(engine, seed=seed,
                                    max_rounds=40, faults=DenseFaults(engine, bound))
             assert dense.rounds == eng.rounds
             assert [bool(x) for x in dense.in_mis] == [

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.local import CSREngine, LocalAlgorithm, Network, run_local
-from repro.utils.rng import NodeCoins, ensure_rng, keyed_u01, mix64
+from repro.utils.rng import NodeCoins, ensure_rng, keyed_u01, mix64, seed_batch
 
 
 class TestEnsureRng:
@@ -21,6 +21,19 @@ class TestEnsureRng:
     def test_generator_passes_through(self):
         rng = random.Random(3)
         assert ensure_rng(rng) is rng
+
+
+class TestSeedBatch:
+    def test_single_seeds_are_batches_of_one(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(3)
+        for seed in (None, 7, np.int64(7), rng):
+            assert seed_batch(seed) == ([seed], False)
+
+    def test_sequences_are_batches(self):
+        assert seed_batch(range(3)) == ([0, 1, 2], True)
+        assert seed_batch([5]) == ([5], True)
+        assert seed_batch(()) == ([], True)
 
 
 class TestKeyedU01:
