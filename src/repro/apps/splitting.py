@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
 from repro.core.basic import processing_order
 from repro.core.problems import UniformSplittingSpec
@@ -188,8 +190,6 @@ def _zero_round_attempt(engine: CSREngine, spec: UniformSplittingSpec, run_seed:
     Crashed nodes (faulty environments) never output; they do not vote and
     their init-time color stands in for them.
     """
-    import numpy as np
-
     result = engine.run(ZeroRoundSplitting(spec), max_rounds=1, seed=run_seed, hooks=hooks)
     return (
         np.array([v.state["color"] for v in result.views], dtype=np.int64),
@@ -288,8 +288,6 @@ def uniform_splitting(
         return [int(c) for c in sharded.colors]
 
     if method in ("local", "dense"):
-        import numpy as np
-
         seeds, batched = seed_batch(seed)
         if engine is None:
             engine = CSREngine(Network(adjacency))
@@ -351,6 +349,7 @@ def uniform_splitting(
         partitions = [[int(c) for c in row] for row in colors]
         return partitions if batched else partitions[0]
 
+    Network(adjacency)  # the input contract (and typed errors) of every method
     inst = _constraint_instance(adjacency, spec)
 
     if method == "random":

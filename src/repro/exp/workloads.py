@@ -549,7 +549,7 @@ def engine_throughput_workload(
     )
     return {
         "n": net.n,
-        "m": sum(len(a) for a in net.adjacency) // 2,
+        "m": int(net.offsets[-1]) // 2,
         "rounds": fast.rounds,
         "reference_seconds": t_reference,
         "engine_seconds": t_engine,

@@ -1,8 +1,9 @@
 """LOCAL model: synchronous simulator, batched engine, dense kernels, ledger.
 
-The dense (numpy) kernels are exported lazily: ``repro.local.luby_mis_batched``
-etc. resolve on first access so importing the package never requires numpy
-— the pure-Python reference and engine paths keep working without it.
+numpy is required: :class:`Network` packs and validates its graph as numpy
+CSR arrays.  The sharded backend is exported lazily
+(``repro.local.luby_mis_sharded`` etc. resolve on first access), so
+importing the package does not load its process-pool machinery.
 """
 
 from repro.local.complexity import (
@@ -11,6 +12,14 @@ from repro.local.complexity import (
     log_star,
     power_graph_coloring_rounds,
     slocal_conversion_rounds,
+)
+from repro.local.dense import (
+    BatchedDenseResult,
+    DenseResult,
+    dense_orientation,
+    luby_mis_batched,
+    sinkless_trial_batched,
+    uniform_splitting_batched,
 )
 from repro.local.engine import CSREngine, run_local_fast
 from repro.local.ids import sequential_ids, shuffled_ids, sparse_random_ids
@@ -22,7 +31,6 @@ from repro.local.network import (
     NodeView,
     RoundHooks,
     SimulationResult,
-    build_reverse_ports,
     run_local,
 )
 
@@ -36,7 +44,6 @@ __all__ = [
     "run_local_fast",
     "CSREngine",
     "NO_BROADCAST",
-    "build_reverse_ports",
     "Charge",
     "RoundLedger",
     "log_star",
@@ -47,7 +54,6 @@ __all__ = [
     "sequential_ids",
     "shuffled_ids",
     "sparse_random_ids",
-    # lazy (numpy-backed) dense kernel exports, resolved in __getattr__:
     "DenseResult",
     "BatchedDenseResult",
     "luby_mis_batched",
@@ -64,17 +70,6 @@ __all__ = [
     "uniform_splitting_sharded",
 ]
 
-_DENSE_NAMES = frozenset(
-    {
-        "DenseResult",
-        "BatchedDenseResult",
-        "luby_mis_batched",
-        "sinkless_trial_batched",
-        "dense_orientation",
-        "uniform_splitting_batched",
-    }
-)
-
 _SHARDED_NAMES = frozenset(
     {
         "ShardPlan",
@@ -88,11 +83,7 @@ _SHARDED_NAMES = frozenset(
 )
 
 
-def __getattr__(name):  # PEP 562: defer the numpy import to first use
-    if name in _DENSE_NAMES:
-        from repro.local import dense
-
-        return getattr(dense, name)
+def __getattr__(name):  # PEP 562: defer the sharded import to first use
     if name in _SHARDED_NAMES:
         from repro.local import sharded
 

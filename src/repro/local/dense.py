@@ -8,8 +8,9 @@ splitting — the per-node logic is a few comparisons, so at n >= 10^5 the
 interpreter *is* the cost.
 
 The kernels here execute an entire round of one specific algorithm as
-masked array arithmetic over the engine's CSR layout
-(:meth:`CSREngine.dense_arrays`): candidate coin draws come from
+masked array arithmetic over the network's CSR arrays
+(:class:`~repro.local.network.Network`'s ``offsets``/``dst_node``/
+``dst_port``, which the engine exposes): candidate coin draws come from
 :func:`~repro.utils.rng.keyed_u01`, neighborhood reductions are
 ``np.logical_or.reduceat`` / ``np.add.reduceat`` (or a ``bincount``) over
 the CSR segments, and the per-slot owner array
@@ -421,7 +422,7 @@ def luby_mis_batched(
     """
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     trace = tracer is not None and tracer.enabled
-    offsets, dst_node, _ = engine.dense_arrays()
+    offsets, dst_node = engine.offsets, engine.dst_node
     n = engine.n
     uid = _uids(engine)
     owner = _slot_owner(offsets)
@@ -613,7 +614,7 @@ def sinkless_trial_batched(
         "sinkless orientation requires a corruption-free proposal round",
     )
     trace = tracer is not None and tracer.enabled
-    offsets, dst_node, dst_port = engine.dense_arrays()
+    offsets, dst_node, dst_port = engine.offsets, engine.dst_node, engine.dst_port
     n = engine.n
     uid = _uids(engine)
     degrees = np.diff(offsets)
@@ -722,7 +723,7 @@ def dense_orientation(
     Same rule as the simulator driver: for each edge the lower-index
     endpoint's slot decides the direction.
     """
-    offsets, dst_node, _ = engine.dense_arrays()
+    offsets, dst_node = engine.offsets, engine.dst_node
     owner = _slot_owner(offsets)
     low = np.flatnonzero(owner < dst_node)
     srcs = np.where(out[low], owner[low], dst_node[low])
@@ -774,7 +775,7 @@ def uniform_splitting_batched(
     matching the engine's charge.
     """
     trace = tracer is not None and tracer.enabled
-    offsets, dst_node, _ = engine.dense_arrays()
+    offsets, dst_node = engine.offsets, engine.dst_node
     n = engine.n
     degrees = np.diff(offsets)
     k = len(run_seeds)

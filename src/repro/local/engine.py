@@ -8,12 +8,13 @@ still running*.  That loop dominates every benchmark in this repository.
 :class:`CSREngine` executes the same algorithms with the same semantics —
 bit-identical outputs for a fixed seed — but restructures the hot path:
 
-* **CSR packing.**  Adjacency and port tables are flattened once into
-  contiguous arrays (``offsets``, ``dst_node``, ``dst_port``): the ports of
-  node ``i`` occupy slots ``offsets[i]:offsets[i+1]``, and a message sent on
-  slot ``k`` lands in the inbox of ``dst_node[k]`` under port
-  ``dst_port[k]``.  Packing is paid once per network and reused across runs
-  (multi-seed sweeps amortize it to nothing).
+* **CSR delivery tables.**  The network already holds its graph as CSR
+  arrays (``offsets``, ``dst_node``, ``dst_port``): the ports of node ``i``
+  occupy slots ``offsets[i]:offsets[i+1]``, and a message sent on slot
+  ``k`` lands in the inbox of ``dst_node[k]`` under port ``dst_port[k]``.
+  :meth:`CSREngine.run` turns them into per-node Python delivery lists on
+  its first call and reuses them across runs (multi-seed sweeps amortize
+  them to nothing); the numpy kernels read the arrays directly.
 
 * **Active-set tracking.**  Only non-halted nodes are visited in the send
   and receive phases, and inboxes are materialized lazily for nodes that
@@ -29,11 +30,11 @@ bit-identical outputs for a fixed seed — but restructures the hot path:
 Equivalence with the reference is structural, not accidental: both draw
 per-node coins from the same keyed :class:`~repro.utils.rng.NodeCoins`,
 call ``init``/``broadcast``/``send``/``receive`` for the same nodes in the
-same index order, and pair
-multi-edge ports with the same order-of-appearance rule
-(:func:`repro.local.network.build_reverse_ports`).  Inbox dicts are even
-populated in the same insertion order (sender index, then port), so
-algorithms that iterate ``inbox.values()`` observe identical sequences.
+same index order, and deliver along the network's one port pairing
+(:class:`~repro.local.network.Network`'s ``dst_node``/``dst_port``).
+Inbox dicts are even populated in the same insertion order (sender index,
+then port), so algorithms that iterate ``inbox.values()`` observe
+identical sequences.
 ``tests/local/test_engine.py`` property-tests this bit-for-bit.
 
 The engine additionally supports a *global stopping probe* — a callback
@@ -56,7 +57,6 @@ from repro.local.network import (
     NodeView,
     RoundHooks,
     SimulationResult,
-    build_reverse_ports,
 )
 from repro.utils.rng import NodeCoins, mix64
 from repro.utils.validation import require
@@ -70,57 +70,29 @@ Probe = Callable[[int, List[NodeView]], bool]
 class CSREngine:
     """Reusable batched executor for one :class:`Network`.
 
-    Construction flattens the network's adjacency and port tables into CSR
-    arrays; :meth:`run` then executes any :class:`LocalAlgorithm` against
-    them.  Build once, run many times (different algorithms and seeds).
+    ``offsets``, ``dst_node`` and ``dst_port`` are the network's CSR arrays
+    (nothing is copied); :meth:`run` executes any :class:`LocalAlgorithm`
+    against them.  Build once, run many times (different algorithms and
+    seeds).
     """
 
     def __init__(self, network: Network):
         self.network = network
-        adjacency = network.adjacency
-        n = len(adjacency)
-        reverse_port = build_reverse_ports(adjacency)
-        offsets = [0] * (n + 1)
-        for i in range(n):
-            offsets[i + 1] = offsets[i] + len(adjacency[i])
-        m = offsets[n]
-        dst_node = [0] * m
-        dst_port = [0] * m
-        k = 0
-        for i in range(n):
-            rev = reverse_port[i]
-            for p, j in enumerate(adjacency[i]):
-                dst_node[k] = j
-                dst_port[k] = rev[p]
-                k += 1
-        self.offsets = offsets
-        self.dst_node = dst_node
-        self.dst_port = dst_port
-        # Per-node delivery slices: out_slots[i][p] = (dst node, dst port).
-        # Tuple lists iterate faster than indexing the flat arrays per slot.
-        self.out_slots = [
-            list(zip(dst_node[offsets[i]:offsets[i + 1]], dst_port[offsets[i]:offsets[i + 1]]))
-            for i in range(n)
-        ]
-        self._dense_arrays = None  # numpy mirrors, built lazily on first use
+        self.offsets = network.offsets
+        self.dst_node = network.dst_node
+        self.dst_port = network.dst_port
+        self._out_slots: Optional[List[List[tuple]]] = None
 
-    def dense_arrays(self):
-        """The CSR layout as numpy int64 arrays ``(offsets, dst_node, dst_port)``.
+    def _delivery_slots(self) -> List[List[tuple]]:
+        """``out_slots[i][p] = (dst node, dst port)``, built on first use.
 
-        Built on first call and cached; this is the substrate the vectorized
-        round kernels in :mod:`repro.local.dense` index into.  Requires
-        numpy (imported lazily so the pure-Python engine path works without
-        it).
+        Tuple lists iterate faster than indexing the flat arrays per slot.
         """
-        if self._dense_arrays is None:
-            import numpy as np
-
-            self._dense_arrays = (
-                np.asarray(self.offsets, dtype=np.int64),
-                np.asarray(self.dst_node, dtype=np.int64),
-                np.asarray(self.dst_port, dtype=np.int64),
-            )
-        return self._dense_arrays
+        if self._out_slots is None:
+            bounds = self.offsets.tolist()
+            pairs = list(zip(self.dst_node.tolist(), self.dst_port.tolist()))
+            self._out_slots = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+        return self._out_slots
 
     @property
     def n(self) -> int:
@@ -152,7 +124,7 @@ class CSREngine:
         """
         require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
         network = self.network
-        out_slots = self.out_slots
+        out_slots = self._delivery_slots()
         n = self.n
 
         rng_start = time.perf_counter()
@@ -291,8 +263,8 @@ def run_local_fast(
 ) -> SimulationResult:
     """Drop-in replacement for :func:`run_local` using :class:`CSREngine`.
 
-    Packs the network on every call; reuse a :class:`CSREngine` directly
-    when running the same network repeatedly.
+    Builds the engine's Python delivery lists on every call; reuse a
+    :class:`CSREngine` directly when running the same network repeatedly.
     """
     return CSREngine(network).run(
         algorithm, max_rounds=max_rounds, seed=seed, probe=probe, hooks=hooks

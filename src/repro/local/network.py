@@ -16,6 +16,10 @@ The simulator here is faithful to that definition:
   forwards it to a :class:`repro.local.ledger.RoundLedger` as a *simulated*
   charge.
 
+A :class:`Network` validates its adjacency once and holds it as numpy CSR
+arrays, which every executor and kernel reads, so all of them deliver
+along the same port pairing.
+
 Randomized LOCAL algorithms receive per-node private coin sources keyed by
 ``(master seed, node index, draw, round)`` (see
 :class:`repro.utils.rng.NodeCoins`), keeping runs reproducible without
@@ -25,11 +29,16 @@ correlating nodes — and drawing exactly the coins the numpy kernels of
 
 from __future__ import annotations
 
+import operator
+import struct
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import time
+import numpy as np
 
 from repro.utils.rng import NodeCoins, mix64
 from repro.utils.validation import require
@@ -42,7 +51,6 @@ __all__ = [
     "run_local",
     "SimulationResult",
     "NO_BROADCAST",
-    "build_reverse_ports",
 ]
 
 
@@ -60,37 +68,34 @@ NO_BROADCAST = _NoBroadcast()
 
 
 class Network:
-    """A communication graph for the simulator.
+    """A communication graph for the simulator, held as CSR arrays.
 
     Parameters
     ----------
     adjacency:
         ``adjacency[i]`` lists the node indices adjacent to node ``i``.  The
-        graph must be symmetric and loop-free; parallel entries are allowed
-        (multi-edges) and are presented to the algorithm as distinct ports;
-        :attr:`simple` records whether there are none.
+        graph must be symmetric and loop-free and every entry an integer;
+        parallel entries are allowed (multi-edges) and are presented to the
+        algorithm as distinct ports; :attr:`simple` records whether there
+        are none.
     ids:
         Unique identifiers (the LOCAL model's O(log n)-bit names).  Defaults
         to the node indices.
+
+    The graph is stored as three numpy int64 arrays, the one representation
+    every executor and kernel reads: the ports of node ``i`` occupy slots
+    ``offsets[i]:offsets[i+1]``, and a message sent on slot ``k`` lands in
+    the inbox of ``dst_node[k]`` under port ``dst_port[k]``.  Multi-edges
+    are paired in order of appearance: the k-th occurrence of ``j`` in
+    ``adjacency[i]`` pairs with the k-th occurrence of ``i`` in
+    ``adjacency[j]``.  The arrays are read-only, as every engine and kernel
+    over the network shares them.  :attr:`adjacency` is rebuilt from the
+    arrays on first use.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[int]], ids: Optional[Sequence[int]] = None):
-        self.adjacency: Tuple[Tuple[int, ...], ...] = tuple(tuple(a) for a in adjacency)
-        n = len(self.adjacency)
-        counts: Dict[Tuple[int, int], int] = {}
-        for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                require(0 <= j < n, f"node {i} lists out-of-range neighbor {j}")
-                if j == i:
-                    raise ValueError(f"node {i} lists itself as a neighbor (self-loop)")
-                counts[(i, j)] = counts.get((i, j), 0) + 1
-        for (i, j), c in counts.items():
-            require(
-                counts.get((j, i), 0) == c,
-                f"asymmetric adjacency between nodes {i} and {j}",
-            )
-        #: True when no node lists a neighbor twice (no multi-edges).
-        self.simple: bool = len(counts) == sum(map(len, self.adjacency))
+        n = len(adjacency)
+        self.offsets, self.dst_node, self.dst_port, self.simple = _pack(adjacency, n)
         if ids is None:
             ids = list(range(n))
         require(len(ids) == n, "ids must have one entry per node")
@@ -100,11 +105,18 @@ class Network:
     @property
     def n(self) -> int:
         """Number of nodes."""
-        return len(self.adjacency)
+        return len(self.ids)
 
     def degree(self, i: int) -> int:
         """Degree (number of ports) of node ``i``."""
-        return len(self.adjacency[i])
+        return int(self.offsets[i + 1] - self.offsets[i])
+
+    @cached_property
+    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
+        """``adjacency[i]``: node ``i``'s neighbors in port order."""
+        flat = self.dst_node.tolist()
+        bounds = self.offsets.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @classmethod
     def from_bipartite(cls, inst, ids: Optional[Sequence[int]] = None) -> "Network":
@@ -119,6 +131,74 @@ class Network:
             adj[u].append(inst.n_left + v)
             adj[inst.n_left + v].append(u)
         return cls(adj, ids=ids)
+
+
+def _neighbor_array(adjacency: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Every neighbor entry in slot order, as int64.
+
+    An entry must be an integer (anything ``operator.index`` accepts, such
+    as a Python ``int`` or a numpy integer): ``1.0`` or ``"1"`` raises
+    ``TypeError`` naming the node instead of being truncated to an index.
+    """
+    flat = list(chain.from_iterable(adjacency))
+    if not flat:
+        return np.zeros(0, dtype=np.int64)
+    try:
+        # struct's "q" takes exactly the integers that fit in int64.
+        return np.frombuffer(struct.pack(f"{len(flat)}q", *flat), dtype=np.int64)
+    except struct.error:
+        for i, nbrs in enumerate(adjacency):
+            for j in nbrs:
+                try:
+                    j = operator.index(j)
+                except TypeError:
+                    raise TypeError(f"node {i} lists non-integer neighbor {j!r}") from None
+                require(0 <= j < n, f"node {i} lists out-of-range neighbor {j}")
+        raise
+
+
+def _pack(adjacency: Sequence[Sequence[int]], n: int):
+    """Validate ``adjacency`` and pack it: ``(offsets, dst_node, dst_port, simple)``.
+
+    Vectorised: slot ``t`` (owner ``src[t]``, neighbor ``dst[t]``) gets the
+    keys ``src*n + dst`` and ``dst*n + src``.  The adjacency is symmetric
+    with multiplicities iff the two key multisets are equal, i.e. iff the
+    sorted key arrays are.  Stable sorts keep equal keys in slot order, so
+    the t-th entries of the two orders pair the k-th ``j`` in
+    ``adjacency[i]`` with the k-th ``i`` in ``adjacency[j]``.
+    """
+    degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    dst = _neighbor_array(adjacency, n)
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    bad = np.flatnonzero((dst < 0) | (dst >= n) | (dst == src))
+    if bad.size:
+        t = int(bad[0])
+        i, j = int(src[t]), int(dst[t])
+        if j == i:
+            raise ValueError(f"node {i} lists itself as a neighbor (self-loop)")
+        raise ValueError(f"node {i} lists out-of-range neighbor {j}")
+    m = dst.shape[0]
+    require(n * max(n, m) < 2**63, "graph too large for int64 slot keys")
+    fwd = src * n + dst
+    a = np.argsort(fwd, kind="stable")  # src ascends with the slot: nearly sorted
+    # The stable order by ``dst*n + src`` is the order by (dst, slot), as src
+    # ascends with the slot; the default sort of ``dst*m + slot`` (far faster
+    # than a stable argsort) yields it.
+    b = np.sort(dst * m + np.arange(m, dtype=np.int64)) % m
+    fwd, bwd = fwd[a], (dst * n + src)[b]
+    mismatch = np.flatnonzero(fwd != bwd)
+    if mismatch.size:
+        t = int(mismatch[0])
+        i, j = divmod(int(min(fwd[t], bwd[t])), n)
+        raise ValueError(f"asymmetric adjacency between nodes {i} and {j}")
+    dst_port = np.empty_like(dst)
+    dst_port[a] = b - offsets[src[b]]
+    simple = not bool((fwd[1:] == fwd[:-1]).any())
+    for arr in (offsets, dst, dst_port):
+        arr.flags.writeable = False  # shared by every executor and kernel
+    return offsets, dst, dst_port, simple
 
 
 @dataclass
@@ -247,30 +327,6 @@ class SimulationResult:
         return [v.output for v in self.views]
 
 
-def build_reverse_ports(adjacency: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Port tables: ``reverse_port[i][p]`` is the counterpart's port.
-
-    If node ``i`` lists ``j`` at port ``p`` then ``j`` lists ``i`` at port
-    ``reverse_port[i][p]``.  Multi-edges are matched in order of appearance:
-    the k-th occurrence of ``j`` in ``adjacency[i]`` pairs with the k-th
-    occurrence of ``i`` in ``adjacency[j]``.  Shared by :func:`run_local`
-    and the batched engine so both deliver along identical port pairings.
-    """
-    n = len(adjacency)
-    reverse_port: List[List[int]] = [[-1] * len(adjacency[i]) for i in range(n)]
-    cursor: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(n):
-        for p, j in enumerate(adjacency[i]):
-            cursor.setdefault((j, i), []).append(p)
-    taken: Dict[Tuple[int, int], int] = {}
-    for i in range(n):
-        for p, j in enumerate(adjacency[i]):
-            k = taken.get((i, j), 0)
-            taken[(i, j)] = k + 1
-            reverse_port[i][p] = cursor[(i, j)][k]
-    return reverse_port
-
-
 def run_local(
     network: Network,
     algorithm: LocalAlgorithm,
@@ -283,7 +339,8 @@ def run_local(
     Message delivery is port-to-port: if node ``a`` lists ``b`` at port ``p``
     and ``b`` lists ``a`` at port ``q``, a message sent by ``a`` on port ``p``
     in round ``t`` arrives in ``b``'s inbox under port ``q`` in the same
-    round's receive phase (standard synchronous semantics).
+    round's receive phase (standard synchronous semantics); the pairing is
+    the network's ``dst_node``/``dst_port`` arrays.
 
     ``hooks`` (a :class:`RoundHooks`) injects environment faults — crashes
     in ``before_round``, message loss via ``deliver`` — at the same call
@@ -297,7 +354,10 @@ def run_local(
     """
     require(max_rounds >= 0, f"max_rounds must be >= 0, got {max_rounds}")
     n = network.n
-    reverse_port = build_reverse_ports(network.adjacency)
+    offsets = network.offsets.tolist()
+    dst_node = network.dst_node.tolist()
+    dst_port = network.dst_port.tolist()
+    degrees = [offsets[i + 1] - offsets[i] for i in range(n)]
 
     rng_start = time.perf_counter()
     seed_hash = mix64(seed)
@@ -306,7 +366,7 @@ def run_local(
         NodeView(
             index=i,
             uid=network.ids[i],
-            degree=network.degree(i),
+            degree=degrees[i],
             n=n,
             rng=NodeCoins(seed_hash, i, n, clock),
         )
@@ -329,20 +389,20 @@ def run_local(
                 continue
             bmsg = algorithm.broadcast(views[i], round_no)
             if bmsg is not NO_BROADCAST:
-                outgoing = {p: bmsg for p in range(network.degree(i))}
+                outgoing = {p: bmsg for p in range(degrees[i])}
             else:
                 outgoing = algorithm.send(views[i], round_no)
             for port, message in outgoing.items():
                 require(
-                    0 <= port < network.degree(i),
+                    0 <= port < degrees[i],
                     f"node {i} sent on invalid port {port}",
                 )
                 if hooks is not None:
                     if not hooks.deliver(round_no, i, port):
                         continue
                     message = hooks.transform(round_no, i, port, message)
-                j = network.adjacency[i][port]
-                inboxes[j][reverse_port[i][port]] = message
+                k = offsets[i] + port
+                inboxes[dst_node[k]][dst_port[k]] = message
         for i in range(n):
             if views[i].halted:
                 continue

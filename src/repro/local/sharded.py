@@ -121,7 +121,7 @@ class ShardPlan:
 
     def __init__(self, engine: CSREngine, cuts: Sequence[int]):
         start = time.perf_counter()
-        offsets, dst_node, dst_port = engine.dense_arrays()
+        offsets, dst_node, dst_port = engine.offsets, engine.dst_node, engine.dst_port
         n = engine.n
         uid = np.asarray(engine.network.ids, dtype=np.int64)
         self.n = n
@@ -213,7 +213,7 @@ def plan_shards(
     target ``shards`` count with slot-balanced cuts (default 2).  Cuts are
     always node-aligned, so every CSR row lives wholly inside one shard.
     """
-    offsets, dst_node, _ = engine.dense_arrays()
+    offsets, dst_node = engine.offsets, engine.dst_node
     n = engine.n
     m = int(dst_node.shape[0])
     if bounds is not None:

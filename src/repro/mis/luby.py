@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.local.ledger import RoundLedger
 from repro.local.network import LocalAlgorithm, Network, NodeView
 from repro.local.engine import CSREngine, run_local_fast
@@ -183,8 +185,6 @@ def luby_mis(
     if ledger is not None:
         ledger.charge_simulated(result.rounds, label)
     if recover:
-        import numpy as np
-
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import bound_stack
 
@@ -202,8 +202,6 @@ def luby_mis(
 
 def _repair_mis(engine, faults, seed, in_mis, crashed, rounds, max_rounds, ledger, label):
     """Shared ``recover=True`` tail: repair in place, return survivors' MIS."""
-    import numpy as np
-
     from repro.scenarios.recovery import luby_repair
 
     rep = luby_repair(

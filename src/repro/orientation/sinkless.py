@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.local.engine import CSREngine
 from repro.local.network import NO_BROADCAST, LocalAlgorithm, Network, NodeView
 from repro.utils.rng import SeedLike, ensure_rng, seed_batch
@@ -312,12 +314,10 @@ def run_trial_and_fix(
 
     result = engine.run(algo, max_rounds=max_rounds, seed=seed, probe=probe, hooks=hooks)
     if recover:
-        import numpy as np
-
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import bound_stack
 
-        offsets, _, _ = engine.dense_arrays()
+        offsets = engine.offsets
         out = np.zeros(int(offsets[-1]), dtype=bool)
         crashed = np.zeros(net.n, dtype=bool)
         for i, view in enumerate(result.views):

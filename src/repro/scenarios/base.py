@@ -35,6 +35,8 @@ import hashlib
 from abc import ABC
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.local.network import Network, NodeView, RoundHooks
 from repro.utils.rng import _MASK64, _SM_GAMMA, _TO_U01, _mix64_np, mix64
 
@@ -90,8 +92,6 @@ def fault_u01_array(fault_seed: int, label: str, entity, *key):
     be an int array (elementwise) or a scalar (broadcast); elementwise
     results equal :func:`fault_u01` bit-for-bit.
     """
-    import numpy as np  # lazy: the pure-python scenario paths never need it
-
     # Fold scalar components in python ints (numpy warns on uint64 scalar
     # overflow) and switch to wrapping uint64 array arithmetic at the first
     # array component; scalar folds before/after the switch stay bit-equal

@@ -26,6 +26,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+import numpy as np
+
 from repro.local.network import Network
 from repro.scenarios.base import (
     BoundPerturbation,
@@ -108,8 +110,6 @@ class CorrelatedCrash(Perturbation):
             start = min(int(u * blocks), blocks - 1) * count
             victims = range(start, min(start + count, n))
             return _BoundCrash(tuple(victims), self.at_round)
-        import numpy as np  # lazy, like the fault-coin kernels
-
         ids = np.asarray(network.ids, dtype=np.int64)
         u = fault_u01_array(fault_seed, "crash-ball", ids)
         centers = np.argsort(u, kind="stable")
@@ -186,8 +186,6 @@ class _BoundCorrupt(BoundPerturbation):
         if self._quiet(round_no):
             return None
         if self._uid_arr is None:
-            import numpy as np
-
             self._uid_arr = np.asarray(self.ids, dtype=np.int64)
         u = fault_u01_array(
             self.fault_seed, "corrupt", self._uid_arr[senders], round_no, ports

@@ -10,10 +10,10 @@ keep their port numbering; links come and go underneath).
 
 Edges are identified by canonical keys ``(min uid, max uid, k)`` where
 ``k`` is the multi-edge occurrence index under the simulator's
-order-of-appearance pairing rule
-(:func:`~repro.local.network.build_reverse_ports`) — both endpoints of a
-parallel edge derive the same key, so up/down decisions are symmetric per
-edge, never per direction.  The integer triple feeds the counter-based
+order-of-appearance pairing rule (the one
+:class:`~repro.local.network.Network` packs its ``dst_port`` by) — both
+endpoints of a parallel edge derive the same key, so up/down decisions are
+symmetric per edge, never per direction.  The integer triple feeds the counter-based
 :func:`~repro.scenarios.base.fault_u01` chain, which vectorizes to one
 hash-kernel call per round over the flat per-slot key arrays
 (:func:`edge_key_triples`).
@@ -21,7 +21,9 @@ hash-kernel call per round over the flat per-slot key arrays
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
+
+import numpy as np
 
 from repro.local.network import Network
 from repro.scenarios.base import (
@@ -35,33 +37,29 @@ from repro.utils.validation import require
 __all__ = ["edge_key_triples", "EdgeChurn", "LateEdges", "DropEdges"]
 
 
-def edge_key_triples(network: Network) -> Tuple[list, list, list, list]:
+def edge_key_triples(network: Network):
     """Integer canonical edge keys, flattened per CSR slot.
 
-    Returns ``(offsets, lo, hi, k)`` python lists where slot
+    Returns ``(offsets, lo, hi, k)`` numpy int64 arrays where slot
     ``offsets[i] + p`` holds the ``(min uid, max uid, occurrence)`` triple
     of the edge behind node ``i``'s port ``p``: the k-th ``j`` in
     ``adjacency[i]`` pairs with the k-th ``i`` in ``adjacency[j]``, so both
     endpoints derive the same triple.  Ready to feed the vectorized
     :func:`~repro.scenarios.base.fault_u01_array` mask kernel.
     """
-    adjacency = network.adjacency
-    ids = network.ids
-    offsets = [0] * (len(adjacency) + 1)
-    lo_col: List[int] = []
-    hi_col: List[int] = []
-    k_col: List[int] = []
-    occurrence: dict = {}
-    for i, nbrs in enumerate(adjacency):
-        offsets[i + 1] = offsets[i] + len(nbrs)
-        for j in nbrs:
-            k = occurrence.get((i, j), 0)
-            occurrence[(i, j)] = k + 1
-            lo, hi = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
-            lo_col.append(lo)
-            hi_col.append(hi)
-            k_col.append(k)
-    return offsets, lo_col, hi_col, k_col
+    offsets, dst = network.offsets, network.dst_node
+    n = network.n
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    # Occurrence rank of a slot among its row's slots to the same node: a
+    # stable sort keeps equal (src, dst) keys in slot order, and the rank is
+    # the distance to the first of them.
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    k = np.empty_like(key)
+    k[order] = np.arange(key.shape[0]) - np.searchsorted(key, key)
+    uid = np.asarray(network.ids, dtype=np.int64)
+    return offsets, np.minimum(uid[src], uid[dst]), np.maximum(uid[src], uid[dst]), k
 
 
 class _EdgeKeyed(BoundPerturbation):
@@ -73,18 +71,11 @@ class _EdgeKeyed(BoundPerturbation):
     drops_messages = True
 
     def __init__(self, network: Network):
-        import numpy as np
-
-        offsets, lo, hi, k = edge_key_triples(network)
-        self._offsets = offsets
-        self._lo = np.asarray(lo, dtype=np.int64)
-        self._hi = np.asarray(hi, dtype=np.int64)
-        self._k = np.asarray(k, dtype=np.int64)
-        self._offsets_arr = np.asarray(offsets, dtype=np.int64)
+        self._offsets, self._lo, self._hi, self._k = edge_key_triples(network)
 
     def _slots(self, senders, ports):
         """Flat slot indices for parallel (sender, port) arrays."""
-        return self._offsets_arr[senders] + ports
+        return self._offsets[senders] + ports
 
     def _edge_u01(self, label: str, senders, ports, *round_key):
         """Per-slot edge-keyed uniforms for the given round key, vectorized."""

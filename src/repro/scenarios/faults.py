@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.local.network import Network
 from repro.scenarios.base import (
     BoundPerturbation,
@@ -67,8 +69,6 @@ class CrashNodes(Perturbation):
             )
             victims = order[:count]
         else:
-            import numpy as np  # lazy, like the fault-coin kernels
-
             ids = np.asarray(network.ids, dtype=np.int64)
             u = fault_u01_array(fault_seed, "crash", ids)
             victims = np.argsort(u, kind="stable")[:count].tolist()
@@ -91,8 +91,6 @@ class _BoundCrash(BoundPerturbation):
         if round_no != self.at_round or not self.victims:
             return None
         if self._victim_mask is None:
-            import numpy as np
-
             mask = np.zeros(n, dtype=bool)
             mask[list(self.victims)] = True
             self._victim_mask = mask
@@ -153,8 +151,6 @@ class _BoundIIDDrop(BoundPerturbation):
         if self._quiet(round_no):
             return None
         if self._uid_arr is None:
-            import numpy as np
-
             self._uid_arr = np.asarray(self.ids, dtype=np.int64)
         # One hash-kernel call for the whole round, elementwise-identical
         # to ``delivers``.
@@ -199,8 +195,6 @@ class _BoundMute(BoundPerturbation):
     def delivers_mask(self, round_no: int, senders, ports):
         if round_no > self.until_round or not self.victims:
             return None
-        import numpy as np
-
         if self._victim_arr is None:
             self._victim_arr = np.array(sorted(self.victims), dtype=np.int64)
         return ~np.isin(senders, self._victim_arr)

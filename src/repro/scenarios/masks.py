@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.local.engine import CSREngine
 from repro.scenarios.base import BoundPerturbation, quiet_after
 
@@ -53,9 +55,7 @@ class SlotLayout:
     """
 
     def __init__(self, engine: CSREngine):
-        import numpy as np
-
-        offsets, dst_node, dst_port = engine.dense_arrays()
+        offsets, dst_node, dst_port = engine.offsets, engine.dst_node, engine.dst_port
         n = engine.n
         self.n = n
         self.out_sender = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
@@ -92,9 +92,6 @@ class DenseFaults:
         bound: Sequence[BoundPerturbation],
         layout: Optional[SlotLayout] = None,
     ):
-        import numpy as np
-
-        self._np = np
         self.bound = tuple(bound)
         self.layout = layout if layout is not None else SlotLayout(engine)
         self.n = self.layout.n
@@ -166,7 +163,6 @@ class DenseFaults:
         return None if out is None else out[self.layout.partner]
 
     def _build_crash(self, round_no: int):
-        np = self._np
         mask = None
         for b in self.bound:
             part = b.crashes_mask(round_no, self.n)
@@ -200,7 +196,6 @@ class DenseFaults:
         corrupted for the semantic masks the kernels apply."""
         senders = self.layout.out_sender
         ports = self.layout.out_port
-        np = self._np
         mask = None
         for b in self._corrupters:
             part = b.corrupts_mask(round_no, senders, ports)
@@ -220,7 +215,6 @@ class DenseFaults:
     def _scalar_sweep(self, b, round_no: int, senders, ports):
         """O(m) fallback over the pure scalar decision (third-party
         perturbations without a vectorized path)."""
-        np = self._np
         out = np.ones(senders.shape[0], dtype=bool)
         delivers = b.delivers
         for k in range(senders.shape[0]):

@@ -46,6 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.utils.rng import ensure_rng, keyed_u01, mix64
 from repro.utils.validation import require
 
@@ -149,11 +151,9 @@ def edge_ok_slot_mask(engine, bound):
         type(b).edge_alive_final is BoundPerturbation.edge_alive_final for b in bound
     ):
         return None
-    import numpy as np
-
     from repro.local.dense import _slot_owner
 
-    offsets, _, _ = engine.dense_arrays()
+    offsets = engine.offsets
     owner = _slot_owner(offsets)
     port = np.arange(offsets[-1], dtype=np.int64) - offsets[:-1][owner]
     mask = np.ones(int(offsets[-1]), dtype=bool)
@@ -203,11 +203,9 @@ def luby_repair(
     exact (the steady delivery mask *is* the final surviving edge set) and
     a stable state has zero contract violations.
     """
-    import numpy as np
-
     from repro.local.dense import _segment_or, _slot_owner, _uids
 
-    offsets, dst_node, _ = engine.dense_arrays()
+    offsets, dst_node = engine.offsets, engine.dst_node
     nbr = dst_node
     owner = _slot_owner(offsets)
     uid = _uids(engine)
@@ -321,11 +319,9 @@ def sinkless_repair(
       masks with the base kernel's exact semantics (a corrupted slot
       flips ``flip`` <-> ``ok``).
     """
-    import numpy as np
-
     from repro.local.dense import _segment_or, _segment_sum, _slot_owner
 
-    offsets, dst_node, dst_port = engine.dense_arrays()
+    offsets, dst_node, dst_port = engine.offsets, engine.dst_node, engine.dst_port
     owner = _slot_owner(offsets)
     partner = offsets[:-1][dst_node] + dst_port
     low_view = owner < dst_node
@@ -431,11 +427,9 @@ def splitting_repair(
     bool, see :func:`edge_ok_slot_mask`) restricts the probe under
     edge-deleting perturbations.
     """
-    import numpy as np
-
     from repro.local.dense import _segment_or, _segment_sum
 
-    offsets, dst_node, _ = engine.dense_arrays()
+    offsets, dst_node = engine.offsets, engine.dst_node
     n = engine.n
     node_idx = np.arange(n, dtype=np.int64)
     sh = repair_hash(seed)
@@ -534,8 +528,6 @@ def luby_mis_recovering(
     ``(mis, rounds, repair)``: the surviving nodes' MIS set, the total
     simulated rounds (base + repair tail) and the :class:`RepairResult`.
     """
-    import numpy as np
-
     from repro.scenarios.base import PerturbationHooks, bind_all
     from repro.scenarios.masks import DenseFaults
 
@@ -588,8 +580,6 @@ def sinkless_recovering(
     scenario.  Returns ``(orientation, rounds, repair)`` with the
     authoritative orientation dict over all nodes.
     """
-    import numpy as np
-
     from repro.local.dense import dense_orientation
     from repro.scenarios.base import PerturbationHooks, bind_all
     from repro.scenarios.masks import DenseFaults
@@ -625,7 +615,7 @@ def sinkless_recovering(
             TrialAndFixSinkless(min_degree=min_degree), max_rounds=max_rounds,
             seed=seed, probe=probe, hooks=PerturbationHooks(bound),
         )
-        offsets, _, _ = engine.dense_arrays()
+        offsets = engine.offsets
         out = np.zeros(int(offsets[-1]), dtype=bool)
         crashed = np.zeros(network.n, dtype=bool)
         for i, view in enumerate(result.views):
@@ -659,8 +649,6 @@ def splitting_recovering(
     round 2 on.  Returns ``(partition, rounds, repair)`` where ``rounds``
     counts one verification round per attempt plus the repair tail.
     """
-    import numpy as np
-
     from repro.bipartite.instance import BLUE, RED
     from repro.scenarios.base import PerturbationHooks, bind_all
     from repro.scenarios.masks import DenseFaults

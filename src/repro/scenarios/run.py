@@ -34,6 +34,8 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Union
 
+import numpy as np
+
 from repro.apps.splitting import ZeroRoundSplitting
 from repro.bipartite.generators import configuration_model_regular, random_sparse_graph
 from repro.core.problems import UniformSplittingSpec
@@ -102,7 +104,6 @@ def _scenario_cell(sc: Scenario, n: int, degree: int, graph_seed: int, backend: 
     if backend == "dense" and cell["layout"] is None:
         from repro.scenarios.masks import SlotLayout
 
-        cell["engine"].dense_arrays()
         cell["layout"] = SlotLayout(cell["engine"])
     return cell["network"], cell["engine"], cell["layout"], (
         time.perf_counter() - setup_start
@@ -211,7 +212,7 @@ def run_scenario(
     metrics["solve_seconds"] = time.perf_counter() - solve_start
 
     metrics["n"] = network.n
-    metrics["m"] = sum(len(a) for a in network.adjacency) // 2
+    metrics["m"] = int(network.offsets[-1]) // 2
     metrics["setup_seconds"] = setup_seconds
     # Split the setup tax for the analytics layer: graph build + packing
     # (``pack_seconds``, 0.0 on a cell-cache hit) vs per-run coin-stream
@@ -276,8 +277,6 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
         rounds = result.rounds
     metrics = {}
     if recover:
-        import numpy as np
-
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import luby_repair
 
@@ -426,8 +425,6 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds,
         )
     metrics = {}
     if recover:
-        import numpy as np
-
         from repro.local.dense import dense_orientation
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import sinkless_repair
@@ -436,7 +433,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds,
             out = result.out
             crashed = result.crashed
         else:
-            offsets, _, _ = engine.dense_arrays()
+            offsets = engine.offsets
             out = np.zeros(int(offsets[-1]), dtype=bool)
             crashed = np.zeros(network.n, dtype=bool)
             for i, view in enumerate(result.views):
@@ -536,8 +533,6 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts,
     completed = accepted
     metrics = {}
     if recover:
-        import numpy as np
-
         from repro.bipartite.instance import BLUE, RED
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import edge_ok_slot_mask, splitting_repair

@@ -262,17 +262,7 @@ class TestKeyedStatisticalValidity:
         assert dense.completed and dense.rounds <= 40
 
 
-class TestDenseArraysOnEngine:
-    def test_cached_and_consistent_with_python_lists(self):
-        adj = [[1, 1, 2], [0, 0, 2], [0, 1]]
-        engine = CSREngine(Network(adj))
-        offsets, dst_node, dst_port = engine.dense_arrays()
-        assert engine.dense_arrays()[0] is offsets  # cached
-        assert list(offsets) == engine.offsets
-        assert list(dst_node) == engine.dst_node
-        assert list(dst_port) == engine.dst_port
-        assert offsets.dtype == dst_node.dtype == dst_port.dtype == np.int64
-
+class TestDenseExports:
     def test_lazy_exports_resolve(self):
         import repro.local as local
 

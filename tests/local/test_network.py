@@ -78,6 +78,29 @@ class TestNetwork:
             with pytest.raises(ValueError, match="self-loop"):
                 luby_mis(adj, seed=[0, 1], method=method)
 
+    # A float entry used to split the backends: luby_mis([[1.0], [0]]) raised
+    # a bare TypeError on the engine but returned ({1}, 2) on dense.
+    @pytest.mark.parametrize("method", ["engine", "dense", "dense-sharded"])
+    def test_rejects_non_integer_entry_on_every_method(self, method):
+        from repro.mis.luby import luby_mis
+        from repro.orientation.sinkless import run_trial_and_fix
+
+        with pytest.raises(TypeError, match="node 0 lists non-integer neighbor 1.0"):
+            luby_mis([[1.0], [0]], seed=1, method=method)
+        with pytest.raises(TypeError, match="node 2 lists non-integer neighbor 1.0"):
+            run_trial_and_fix([[1, 2], [0, 2], [0, 1.0]], min_degree=1, seed=1, method=method)
+
+    @pytest.mark.parametrize(
+        "method", ["derandomized", "random", "local", "dense", "dense-sharded"]
+    )
+    def test_splitting_rejects_non_integer_entry_on_every_method(self, method):
+        from repro.apps.splitting import uniform_splitting
+        from repro.core.problems import UniformSplittingSpec
+
+        spec = UniformSplittingSpec(eps=0.45, min_constrained_degree=1)
+        with pytest.raises(TypeError, match="node 0 lists non-integer neighbor '1'"):
+            uniform_splitting([["1", 2], [0, 2], [0, 1]], spec, seed=1, method=method)
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
             Network(path_graph(3), ids=[1, 1, 2])

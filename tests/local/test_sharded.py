@@ -32,9 +32,7 @@ SHARD_COUNTS = (1, 2, 7)
 
 
 def engine_of(adj):
-    engine = CSREngine(Network(adj))
-    engine.dense_arrays()
-    return engine
+    return CSREngine(Network(adj))
 
 
 def multigraph(n=40, extra=60, seed=3):
@@ -203,7 +201,7 @@ class TestShardPlans:
 
     def test_max_shard_slots_sizes_the_plan(self):
         engine = engine_of(random_sparse_graph(120, 10, seed=13))
-        offsets, dst_node, _ = engine.dense_arrays()
+        offsets, dst_node = engine.offsets, engine.dst_node
         m = int(dst_node.shape[0])
         plan = plan_shards(engine, max_shard_slots=200)
         assert len(plan) == -(-m // 200) >= 2

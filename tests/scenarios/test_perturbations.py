@@ -145,6 +145,22 @@ class TestDynamicEdges:
         assert keys[0][0] != keys[0][1]
         assert keys[0][2] == keys[2][0]
 
+    def test_edge_keys_match_occurrence_oracle(self):
+        # The dict-based occurrence count the keys were first defined by.
+        adj = [[1, 2, 1, 3], [0, 0, 2], [0, 1, 3, 3], [2, 0, 2]]
+        ids = [70, -4, 12, 5]
+        lo_col, hi_col, k_col = [], [], []
+        occurrence = {}
+        for i, nbrs in enumerate(adj):
+            for j in nbrs:
+                k_col.append(occurrence.get((i, j), 0))
+                occurrence[(i, j)] = k_col[-1] + 1
+                lo_col.append(min(ids[i], ids[j]))
+                hi_col.append(max(ids[i], ids[j]))
+        offsets, lo, hi, k = edge_key_triples(Network(adj, ids=ids))
+        assert offsets.tolist() == [0, 4, 7, 11, 14]
+        assert (lo.tolist(), hi.tolist(), k.tolist()) == (lo_col, hi_col, k_col)
+
     def test_churn_symmetric_per_edge(self):
         net = Network(cycle_graph(12))
         bound = EdgeChurn(p_down=0.5).bind(net, fault_seed=3)
