@@ -29,6 +29,11 @@ wall-clock ratios taken best-of-N with the GC paused (:func:`_harness.best_of`
   building the simulator's graph (``Network`` validation and CSR packing
   plus the ``CSREngine`` over it) takes no longer than solving on it with
   dense Luby MIS plus dense sinkless orientation (``min_degree=3``).
+* **E25**: checking costs at most 2.5x solving — at n = 100,000, deg ~20,
+  ``is_mis`` plus ``is_sinkless(min_degree=3)`` on the adjacency lists
+  take at most 2.5x dense Luby MIS plus dense sinkless orientation on a
+  prebuilt engine.  Both verifiers are thin callers of the array contracts
+  in :mod:`repro.local.contracts`.
 * **E22**: sharded execution — Luby across a 4-shard process pool with
   per-round halo exchange (:func:`repro.local.sharded.luby_mis_sharded`)
   beats the single-process dense kernel >= 2x at n = 1,000,000, deg ~20,
@@ -567,4 +572,62 @@ def test_e24_setup_not_slower_than_solve(benchmark):
     )
     assert t_setup <= t_solve, (
         f"set-up {t_setup:.3f}s slower than the solve {t_solve:.3f}s"
+    )
+
+
+def test_e25_verify_not_slower_than_2_5x_solve(benchmark):
+    """``is_mis`` + ``is_sinkless`` <= 2.5x dense Luby + dense sinkless at n = 100k.
+
+    Checking used to cost ~5x the solve it judges (the per-node Python
+    loops of the verifiers).  Both sides are best-of-3 with the GC paused
+    on a prebuilt engine; the verifiers start from the adjacency lists, so
+    their flattening is inside the gate.
+    """
+    from repro.mis.luby import is_mis, luby_mis
+    from repro.orientation.sinkless import is_sinkless, run_trial_and_fix
+
+    adj = random_sparse_graph(DENSE_N, DENSE_AVG_DEGREE, seed=25)
+    engine = CSREngine(Network(adj))
+
+    def solve():
+        mis, _ = luby_mis(adj, seed=1, method="dense", engine=engine)
+        orientation, _ = run_trial_and_fix(
+            adj, min_degree=3, seed=1, method="dense", engine=engine
+        )
+        return mis, orientation
+
+    mis, orientation = solve()  # also the kernels' first-call warm-up
+
+    def verify():
+        return is_mis(adj, mis), is_sinkless(adj, orientation, min_degree=3)
+
+    assert verify() == (True, True)
+    t_is_mis = best_of(lambda: is_mis(adj, mis))
+    t_is_sinkless = best_of(lambda: is_sinkless(adj, orientation, min_degree=3))
+    t_verify = best_of(verify)
+    t_solve = best_of(solve)
+    if t_verify > 2.5 * t_solve:
+        t_verify = min(t_verify, best_of(verify))
+        t_solve = min(t_solve, best_of(solve))
+
+    benchmark.pedantic(verify, rounds=3, iterations=1)
+    attach_rows(
+        benchmark,
+        "E25: verification vs dense solve (Luby MIS + sinkless orientation)",
+        ["n", "avg deg", "is_mis s", "is_sinkless s", "verify s", "solve s",
+         "verify/solve"],
+        [
+            (
+                DENSE_N,
+                DENSE_AVG_DEGREE,
+                f"{t_is_mis:.3f}",
+                f"{t_is_sinkless:.3f}",
+                f"{t_verify:.3f}",
+                f"{t_solve:.3f}",
+                f"{t_verify / t_solve:.2f}",
+            )
+        ],
+    )
+    assert t_verify <= 2.5 * t_solve, (
+        f"verification {t_verify:.3f}s exceeds 2.5x the solve {t_solve:.3f}s"
     )

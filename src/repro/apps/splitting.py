@@ -331,7 +331,7 @@ def uniform_splitting(
 
             bound = bound_stack(hooks=hooks, faults=faults)
             repair_faults = DenseFaults(engine, bound) if bound else None
-            edge_ok = edge_ok_slot_mask(engine, bound)
+            edge_ok = edge_ok_slot_mask(bound)
             for t in range(len(seeds)):
                 rep = splitting_repair(
                     engine, repair_faults, spec, run_seeds[t], colors[t],

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.bipartite.instance import BLUE, RED, BipartiteInstance, Coloring
 from repro.core.problems import (
     UniformSplittingSpec,
@@ -20,6 +22,7 @@ from repro.core.problems import (
     weak_multicolor_bound_degree,
     weak_multicolor_required_colors,
 )
+from repro.local.contracts import csr_arrays, splitting_defects
 from repro.utils.validation import require
 
 __all__ = [
@@ -170,19 +173,14 @@ def uniform_splitting_violations(
 
     ``partition[v]`` is RED/BLUE.  A node ``v`` with
     ``spec.constrains(deg(v))`` must have its red neighbor count within
-    ``[spec.lo(d), spec.hi(d)]`` (and hence its blue count too).
+    ``[spec.lo(d), spec.hi(d)]`` (and hence its blue count too).  Raises
+    ``ValueError`` on an adjacency entry outside ``range(n)``.
     """
     n = len(adjacency)
     require(len(partition) == n, "partition must cover all nodes")
-    bad: List[int] = []
-    for v in range(n):
-        d = len(adjacency[v])
-        if not spec.constrains(d):
-            continue
-        red = sum(1 for w in adjacency[v] if partition[w] == RED)
-        if not (spec.lo(d) <= red <= spec.hi(d)):
-            bad.append(v)
-    return bad
+    offsets, dst_node = csr_arrays(adjacency)
+    is_red = np.fromiter((c == RED for c in partition), dtype=bool, count=n)
+    return np.flatnonzero(splitting_defects(offsets, dst_node, is_red, spec)[0]).tolist()
 
 
 def is_uniform_splitting(

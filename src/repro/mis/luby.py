@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.local.contracts import csr_arrays, mis_defects, mis_mask
 from repro.local.ledger import RoundLedger
 from repro.local.network import LocalAlgorithm, Network, NodeView
 from repro.local.engine import CSREngine, run_local_fast
@@ -215,12 +216,11 @@ def _repair_mis(engine, faults, seed, in_mis, crashed, rounds, max_rounds, ledge
 
 
 def is_mis(adjacency: Sequence[Sequence[int]], mis: Set[int]) -> bool:
-    """Verify independence and maximality (domination)."""
-    n = len(adjacency)
-    for v in mis:
-        if any(w in mis for w in adjacency[v]):
-            return False  # not independent
-    for v in range(n):
-        if v not in mis and not any(w in mis for w in adjacency[v]):
-            return False  # not maximal
-    return True
+    """Verify independence and maximality (domination).
+
+    Raises ``ValueError`` on an MIS id or adjacency entry outside
+    ``range(n)``.
+    """
+    offsets, dst_node = csr_arrays(adjacency)
+    conflict, undominated = mis_defects(offsets, dst_node, mis_mask(len(adjacency), mis))
+    return not conflict.any() and not undominated.any()

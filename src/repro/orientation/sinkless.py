@@ -22,10 +22,13 @@ Besides the verifier this module ships two constructive baselines:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.local.contracts import csr_arrays, edge_arrays, sink_mask
+from repro.local.dense import _slot_owner
 from repro.local.engine import CSREngine
 from repro.local.network import NO_BROADCAST, LocalAlgorithm, Network, NodeView
 from repro.utils.rng import SeedLike, ensure_rng, seed_batch
@@ -44,19 +47,17 @@ __all__ = [
 GraphOrientation = Dict[Tuple[int, int], bool]
 
 
-def _edge_set(adj: Sequence[Sequence[int]]) -> Set[Tuple[int, int]]:
-    return {(u, v) for u in range(len(adj)) for v in adj[u] if u < v}
-
-
 def sinks(
     adj: Sequence[Sequence[int]], orientation: GraphOrientation, min_degree: int = 1
 ) -> List[int]:
-    """Nodes of degree >= ``min_degree`` with no outgoing edge."""
-    n = len(adj)
-    out_deg = [0] * n
-    for (u, v) in orientation:
-        out_deg[u] += 1
-    return [v for v in range(n) if len(adj[v]) >= min_degree and out_deg[v] == 0]
+    """Nodes of degree >= ``min_degree`` with no outgoing edge.
+
+    Raises ``ValueError`` on an adjacency or orientation entry outside
+    ``range(n)``.
+    """
+    offsets, dst_node = csr_arrays(adj)
+    tails, heads = edge_arrays(orientation, len(adj))
+    return np.flatnonzero(sink_mask(offsets, dst_node, tails, heads, min_degree)).tolist()
 
 
 def is_sinkless(
@@ -65,18 +66,40 @@ def is_sinkless(
     """Verify a sinkless orientation.
 
     Checks (a) every edge is oriented exactly once, and (b) every node of
-    degree >= ``min_degree`` has an outgoing edge.
+    degree >= ``min_degree`` has an outgoing edge.  An orientation entry
+    that is not an edge, or orients an edge a second time, raises
+    ``ValueError`` (the first such entry in dict order); a missing edge
+    makes the orientation invalid.  Raises ``ValueError`` on an adjacency
+    entry outside ``range(n)``.
     """
-    edges = _edge_set(adj)
-    covered: Set[Tuple[int, int]] = set()
-    for (u, v) in orientation:
-        key = (min(u, v), max(u, v))
-        require(key in edges, f"orientation mentions non-edge {u, v}")
-        require(key not in covered, f"edge {key} oriented twice")
-        covered.add(key)
-    if covered != edges:
+    n = len(adj)
+    offsets, dst_node = csr_arrays(adj)
+    owner = _slot_owner(offsets)
+    # Edge keys lo*n + hi over the lower endpoint's slots: collision-free
+    # for 0 <= lo < hi < n.  Out-of-range entries are non-edges.
+    lower = owner < dst_node
+    edges = np.sort(owner[lower] * n + dst_node[lower])
+    distinct = np.ones(len(edges), dtype=bool)  # sort + mask: ~25x np.unique here
+    distinct[1:] = edges[1:] != edges[:-1]
+    edges = edges[distinct]
+    tails, heads = edge_arrays(orientation)
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    key = np.where((lo >= 0) & (hi < n), lo * n + hi, -1)
+    pos = np.minimum(np.searchsorted(edges, key), max(len(edges) - 1, 0))
+    member = edges[pos] == key if len(edges) else np.zeros(len(key), dtype=bool)
+    # A repeat is an edge key already seen earlier in dict order.
+    tag = np.where(member, pos, -1 - np.arange(len(key)))
+    order = np.argsort(tag, kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = tag[order[1:]] == tag[order[:-1]]
+    bad = np.flatnonzero(~member | repeat)
+    if bad.size:
+        u, v = next(islice(orientation, int(bad[0]), None))
+        require(bool(member[bad[0]]), f"orientation mentions non-edge {u, v}")
+        raise ValueError(f"edge {(min(u, v), max(u, v))} oriented twice")
+    if len(key) != len(edges):
         return False
-    return not sinks(adj, orientation, min_degree)
+    return not sink_mask(offsets, dst_node, tails, heads, min_degree).any()
 
 
 def greedy_sinkless_orientation(
@@ -303,36 +326,28 @@ def run_trial_and_fix(
     def probe(round_no: int, views) -> bool:
         if round_no < 2:
             return False
-        orientation = _views_to_orientation(adj, _Views(views))
-        remaining = sinks(adj, orientation, min_degree)
+        remaining = _engine_sinks(engine, orientation_from_views(adj, views), min_degree)
         if not recover:
-            return not remaining
+            return not remaining.any()
         # Survivor-aware stopping (the scenario runner's rule): crashes
         # are silent, so the algorithm can do no better than this; the
         # repair tail owns whatever defects remain.
-        return not any(not views[v].state.get("crashed") for v in remaining)
+        return not any(not views[v].state.get("crashed") for v in np.flatnonzero(remaining))
 
     result = engine.run(algo, max_rounds=max_rounds, seed=seed, probe=probe, hooks=hooks)
     if recover:
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import bound_stack
 
-        offsets = engine.offsets
-        out = np.zeros(int(offsets[-1]), dtype=bool)
-        crashed = np.zeros(net.n, dtype=bool)
-        for i, view in enumerate(result.views):
-            base = int(offsets[i])
-            for p, is_out in view.state.get("out", {}).items():
-                out[base + p] = bool(is_out)
-            crashed[i] = bool(view.state.get("crashed"))
+        out, crashed = slot_states(engine, result.views)
         bound = bound_stack(hooks=hooks)
         repair_faults = DenseFaults(engine, bound) if bound else None
         return _repair_orientation(
             engine, repair_faults, seed, out, crashed, min_degree,
             result.rounds, max_rounds,
         )
-    orientation = _views_to_orientation(adj, result)
-    if result.rounds >= 2 and not sinks(adj, orientation, min_degree):
+    orientation = orientation_from_views(adj, result.views)
+    if result.rounds >= 2 and not _engine_sinks(engine, orientation, min_degree).any():
         return orientation, result.rounds
     raise RuntimeError(f"no sinkless orientation after {max_rounds} rounds")
 
@@ -350,23 +365,37 @@ def _repair_orientation(engine, faults, seed, out, crashed, min_degree, rounds,
     return dense_orientation(engine, out), rep.last_round
 
 
-class _Views:
-    """Minimal result-shaped wrapper so the probe can reuse the extractor."""
+def _engine_sinks(engine, orientation: GraphOrientation, min_degree: int) -> np.ndarray:
+    """:func:`sinks` as a node mask, on the engine's CSR arrays."""
+    tails, heads = edge_arrays(orientation)
+    return sink_mask(engine.offsets, engine.dst_node, tails, heads, min_degree)
 
-    def __init__(self, views):
-        self.views = views
 
+def orientation_from_views(adjacency, views) -> GraphOrientation:
+    """Extract ``{(u, v): True}`` from :class:`TrialAndFixSinkless` node states.
 
-def _views_to_orientation(adj: Sequence[Sequence[int]], result) -> GraphOrientation:
-    """Extract an orientation from node states (lower endpoint's view wins)."""
+    For each edge the lower-index endpoint's ``state["out"]`` is
+    authoritative — including the frozen state of a crashed node, which is
+    exactly what the rest of the network observes.
+    """
     orientation: GraphOrientation = {}
-    for i, view in enumerate(result.views):
-        out = view.state.get("out", {})
-        for p, is_out in out.items():
-            j = adj[i][p]
+    for i, view in enumerate(views):
+        for p, is_out in view.state.get("out", {}).items():
+            j = adjacency[i][p]
             if i < j:
-                if is_out:
-                    orientation[(i, j)] = True
-                else:
-                    orientation[(j, i)] = True
+                orientation[(i, j) if is_out else (j, i)] = True
     return orientation
+
+
+def slot_states(engine, views):
+    """``(out, crashed)`` arrays from node states: per-slot direction bits
+    (the dense kernels' layout) and per-node crash flags."""
+    offsets = engine.offsets
+    out = np.zeros(int(offsets[-1]), dtype=bool)
+    for i, view in enumerate(views):
+        for p, is_out in view.state.get("out", {}).items():
+            out[int(offsets[i]) + p] = bool(is_out)
+    crashed = np.fromiter(
+        (bool(v.state.get("crashed")) for v in views), dtype=bool, count=len(views)
+    )
+    return out, crashed

@@ -20,6 +20,11 @@ Vocabulary:
 * adversarial presentations — :class:`AdversarialIDs`,
   :class:`PortScramble`, :class:`MultiEdgeLift`.
 
+Contracts: :func:`mis_violations`, :func:`surviving_sinks` and
+:func:`splitting_violations` count defects on the surviving graph.  They,
+the runner and the repair tails all call the CSR array contracts of
+:mod:`repro.local.contracts`, one per problem.
+
 Recovery: ``run_scenario(..., recover=True)`` appends the self-stabilizing
 detect-and-repair layer (:mod:`repro.scenarios.recovery`) to any scenario
 run; the exact oracle in :mod:`repro.verify.certify` independently

@@ -208,6 +208,12 @@ class BoundPerturbation:
         validate against the post-churn topology)."""
         return True
 
+    def edge_alive_final_mask(self):
+        """Vector form of :meth:`edge_alive_final` over the bound network's
+        CSR slots: a bool array, or ``None`` when every edge is final.  A
+        perturbation that overrides one must override both."""
+        return None
+
 
 class Perturbation(ABC):
     """Declarative fault/adversary ingredient of a :class:`Scenario`."""

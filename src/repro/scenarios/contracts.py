@@ -16,13 +16,30 @@ Conventions shared by all contracts here:
   :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final`);
 * degrees, degree thresholds and neighbor counts are all computed on the
   surviving graph.
+
+The functions below take Python adjacency lists and convert them once;
+the counting itself is the array contracts of :mod:`repro.local.contracts`,
+which the scenario runner and the repair tails call directly on the
+engine's CSR arrays.  An MIS id, adjacency entry or orientation entry
+outside ``range(n)`` raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.bipartite.instance import RED
+from repro.local.contracts import (
+    csr_arrays,
+    edge_arrays,
+    mis_counts,
+    mis_mask,
+    sink_mask,
+    splitting_defects,
+)
+from repro.orientation.sinkless import orientation_from_views
 
 __all__ = [
     "alive_mask",
@@ -51,22 +68,16 @@ def final_edge_ok(bound) -> EdgeOk:
     return ok
 
 
-def orientation_from_views(adjacency: Adjacency, views) -> Dict[Tuple[int, int], bool]:
-    """Extract ``{(u, v): True}`` from sinkless node states.
+def _edge_ok_mask(adjacency: Adjacency, edge_ok: Optional[EdgeOk]):
+    """Per-slot form of an ``edge_ok(i, p)`` predicate (``None`` stays ``None``)."""
+    if edge_ok is None:
+        return None
+    slots = ((i, p) for i, nbrs in enumerate(adjacency) for p in range(len(nbrs)))
+    return np.fromiter((edge_ok(i, p) for i, p in slots), dtype=bool)
 
-    Same rule as the driver in :mod:`repro.orientation.sinkless`: the lower-
-    index endpoint's ``state["out"]`` is authoritative for each edge —
-    including frozen state of crashed nodes, which is exactly what the rest
-    of the network observes.
-    """
-    orientation: Dict[Tuple[int, int], bool] = {}
-    for i, view in enumerate(views):
-        out = view.state.get("out", {})
-        for p, is_out in out.items():
-            j = adjacency[i][p]
-            if i < j:
-                orientation[(i, j) if is_out else (j, i)] = True
-    return orientation
+
+def _alive_array(alive: Optional[Sequence[bool]]):
+    return None if alive is None else np.asarray(alive, dtype=bool)
 
 
 def mis_violations(
@@ -82,27 +93,11 @@ def mis_violations(
     with no alive MIS neighbor over a surviving edge (isolated alive nodes
     outside the MIS count — they are undominated).
     """
-    n = len(adjacency)
-    if alive is None:
-        alive = [True] * n
-    independence = 0
-    domination = 0
-    for i in range(n):
-        if not alive[i]:
-            continue
-        dominated = i in mis
-        for p, j in enumerate(adjacency[i]):
-            if not alive[j]:
-                continue
-            if edge_ok is not None and not edge_ok(i, p):
-                continue
-            if j in mis:
-                if i in mis and i < j:
-                    independence += 1
-                dominated = True
-        if not dominated:
-            domination += 1
-    return independence, domination
+    offsets, dst_node = csr_arrays(adjacency)
+    return mis_counts(
+        offsets, dst_node, mis_mask(len(adjacency), mis), _alive_array(alive),
+        _edge_ok_mask(adjacency, edge_ok),
+    )
 
 
 def surviving_sinks(
@@ -118,19 +113,10 @@ def surviving_sinks(
     alive node.  (An outgoing edge into a crashed node no longer helps: in
     the surviving graph that edge is gone.)
     """
-    n = len(adjacency)
-    out_alive = [0] * n
-    for (u, v) in orientation:
-        if alive[u] and alive[v]:
-            out_alive[u] += 1
-    bad: List[int] = []
-    for i in range(n):
-        if not alive[i]:
-            continue
-        alive_degree = sum(1 for j in adjacency[i] if alive[j])
-        if alive_degree >= min_degree and out_alive[i] == 0:
-            bad.append(i)
-    return bad
+    offsets, dst_node = csr_arrays(adjacency)
+    tails, heads = edge_arrays(orientation, len(adjacency))
+    bad = sink_mask(offsets, dst_node, tails, heads, min_degree, _alive_array(alive))
+    return np.flatnonzero(bad).tolist()
 
 
 def splitting_violations(
@@ -146,23 +132,10 @@ def splitting_violations(
     are all evaluated on the surviving graph; crashed (uncolored) nodes are
     neither constrained nor counted.
     """
-    n = len(adjacency)
-    if alive is None:
-        alive = [True] * n
-    bad: List[int] = []
-    for i in range(n):
-        if not alive[i]:
-            continue
-        degree = 0
-        red = 0
-        for p, j in enumerate(adjacency[i]):
-            if not alive[j]:
-                continue
-            if edge_ok is not None and not edge_ok(i, p):
-                continue
-            degree += 1
-            if partition[j] == RED:
-                red += 1
-        if spec.constrains(degree) and not (spec.lo(degree) <= red <= spec.hi(degree)):
-            bad.append(i)
-    return bad
+    offsets, dst_node = csr_arrays(adjacency)
+    is_red = np.fromiter((c == RED for c in partition), dtype=bool, count=len(partition))
+    bad, _ = splitting_defects(
+        offsets, dst_node, is_red, spec, _alive_array(alive),
+        _edge_ok_mask(adjacency, edge_ok),
+    )
+    return np.flatnonzero(bad).tolist()

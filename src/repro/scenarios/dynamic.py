@@ -238,3 +238,6 @@ class _BoundDrop(_BoundEdgeSet):
 
     def edge_alive_final(self, sender: int, port: int) -> bool:
         return not self._in_set(sender, port)
+
+    def edge_alive_final_mask(self):
+        return ~self._member

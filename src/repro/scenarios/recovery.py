@@ -135,32 +135,21 @@ def bound_stack(hooks=None, faults=None):
     return ()
 
 
-def edge_ok_slot_mask(engine, bound):
+def edge_ok_slot_mask(bound):
     """Per-slot final-graph membership mask, or ``None`` when trivial.
 
     The conjunction of the stack's
-    :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final`
-    predicates evaluated per CSR slot — the vector form of
-    :func:`~repro.scenarios.contracts.final_edge_ok` that the repair
-    probes consume.  Returns ``None`` when no perturbation overrides the
-    predicate (every edge final), skipping the O(m) sweep.
+    :meth:`~repro.scenarios.base.BoundPerturbation.edge_alive_final_mask`
+    vectors — the slot form of the
+    :func:`~repro.scenarios.contracts.final_edge_ok` predicate, which the
+    contracts and the repair probes consume.  ``None`` means every edge is
+    final.
     """
-    from repro.scenarios.base import BoundPerturbation
-
-    if all(
-        type(b).edge_alive_final is BoundPerturbation.edge_alive_final for b in bound
-    ):
-        return None
-    from repro.local.dense import _slot_owner
-
-    offsets = engine.offsets
-    owner = _slot_owner(offsets)
-    port = np.arange(offsets[-1], dtype=np.int64) - offsets[:-1][owner]
-    mask = np.ones(int(offsets[-1]), dtype=bool)
-    for k in range(int(offsets[-1])):
-        s, p = int(owner[k]), int(port[k])
-        if not all(b.edge_alive_final(s, p) for b in bound):
-            mask[k] = False
+    mask = None
+    for b in bound:
+        m = b.edge_alive_final_mask()
+        if m is not None:
+            mask = m if mask is None else mask & m
     return mask
 
 
@@ -300,7 +289,8 @@ def sinkless_repair(
     """Detect-and-repair for sinkless orientations (mutates the arrays).
 
     Iterates two-round repair phases until the *contract* probe (surviving
-    sinks on the authoritative orientation, exactly
+    sinks on the authoritative orientation: the array contract
+    :func:`~repro.local.contracts.sink_mask` behind
     :func:`~repro.scenarios.contracts.surviving_sinks`) reaches zero:
 
     * **reconcile** (1 round) — defensive validation of the shared edge
@@ -319,6 +309,7 @@ def sinkless_repair(
       masks with the base kernel's exact semantics (a corrupted slot
       flips ``flip`` <-> ``ok``).
     """
+    from repro.local.contracts import sink_mask
     from repro.local.dense import _segment_or, _segment_sum, _slot_owner
 
     offsets, dst_node, dst_port = engine.offsets, engine.dst_node, engine.dst_port
@@ -380,8 +371,7 @@ def sinkless_repair(
         last = rb
         # --- contract probe (authoritative orientation) -------------------
         eff = np.where(low_view, out, ~out[partner])
-        good = _segment_or(eff & live, offsets)
-        if not (accountable & ~good).any():
+        if not sink_mask(offsets, dst_node, owner[eff], dst_node[eff], min_degree, alive).any():
             recovered = True
             break
     return RepairResult(recovered=recovered, repair_rounds=used, last_round=last)
@@ -408,8 +398,9 @@ def splitting_repair(
 ) -> RepairResult:
     """Detect-and-repair for uniform splitting (mutates the arrays).
 
-    Iterates two-round repair phases until the contract
-    (:func:`~repro.scenarios.contracts.splitting_violations` on the
+    Iterates two-round repair phases until the contract (the array
+    contract :func:`~repro.local.contracts.splitting_defects` behind
+    :func:`~repro.scenarios.contracts.splitting_violations`, on the
     surviving graph) holds:
 
     * **check** (1 round) — colors are re-broadcast; every alive
@@ -427,6 +418,7 @@ def splitting_repair(
     bool, see :func:`edge_ok_slot_mask`) restricts the probe under
     edge-deleting perturbations.
     """
+    from repro.local.contracts import splitting_defects
     from repro.local.dense import _segment_or, _segment_sum
 
     offsets, dst_node = engine.offsets, engine.dst_node
@@ -434,20 +426,15 @@ def splitting_repair(
     node_idx = np.arange(n, dtype=np.int64)
     sh = repair_hash(seed)
 
-    def true_violations(alive):
-        live = alive[dst_node]
-        if edge_ok_mask is not None:
-            live = live & edge_ok_mask
-        deg = _segment_sum(live.astype(np.int64), offsets)
-        red_n = _segment_sum(
-            (live & (colors[dst_node] == red)).astype(np.int64), offsets
+    def violated(alive) -> bool:
+        bad, _ = splitting_defects(
+            offsets, dst_node, colors == red, spec, alive, edge_ok_mask
         )
-        constrained = alive & spec.constrains(deg)
-        return constrained & ~((red_n >= spec.lo(deg)) & (red_n <= spec.hi(deg)))
+        return bool(bad.any())
 
     used = 0
     last = start_round - 1
-    if not true_violations(~crashed).any():
+    if not violated(~crashed):
         return RepairResult(recovered=True, repair_rounds=0, last_round=last)
     recovered = False
     while _budget(last, used, 2, max_rounds, cap):
@@ -490,7 +477,7 @@ def splitting_repair(
         colors[redraw] = fresh[redraw]
         used += 1
         last = rb
-        if not true_violations(alive).any():
+        if not violated(alive):
             recovered = True
             break
     return RepairResult(recovered=recovered, repair_rounds=used, last_round=last)
@@ -599,30 +586,26 @@ def sinkless_recovering(
         crashed = result.crashed
         rounds = result.rounds
     else:
-        from repro.orientation.sinkless import TrialAndFixSinkless, sinks
-        from repro.scenarios.contracts import alive_mask, orientation_from_views
+        from repro.orientation.sinkless import (
+            TrialAndFixSinkless,
+            _engine_sinks,
+            orientation_from_views,
+            slot_states,
+        )
+        from repro.scenarios.contracts import alive_mask
 
         def probe(round_no, views):
             if round_no < 2:
                 return False
             orientation = orientation_from_views(network.adjacency, views)
-            alive = alive_mask(views)
-            return not any(
-                alive[v] for v in sinks(network.adjacency, orientation, min_degree)
-            )
+            remaining = _engine_sinks(engine, orientation, min_degree)
+            return not (remaining & np.array(alive_mask(views), dtype=bool)).any()
 
         result = engine.run(
             TrialAndFixSinkless(min_degree=min_degree), max_rounds=max_rounds,
             seed=seed, probe=probe, hooks=PerturbationHooks(bound),
         )
-        offsets = engine.offsets
-        out = np.zeros(int(offsets[-1]), dtype=bool)
-        crashed = np.zeros(network.n, dtype=bool)
-        for i, view in enumerate(result.views):
-            base = int(offsets[i])
-            for p, is_out in view.state.get("out", {}).items():
-                out[base + p] = bool(is_out)
-            crashed[i] = bool(view.state.get("crashed"))
+        out, crashed = slot_states(engine, result.views)
         rounds = result.rounds
     repair = sinkless_repair(
         engine, DenseFaults(engine, bound), seed, out, crashed, min_degree,
@@ -697,6 +680,6 @@ def splitting_recovering(
     repair = splitting_repair(
         engine, DenseFaults(engine, attempt_bound), spec, run_seed, colors,
         crashed, start_round=2, red=RED, blue=BLUE, cap=cap,
-        edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound),
+        edge_ok_mask=edge_ok_slot_mask(attempt_bound),
     )
     return [int(c) for c in colors], attempts + repair.repair_rounds, repair

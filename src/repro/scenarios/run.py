@@ -32,27 +32,23 @@ schedules, so packing and mask setup are paid once per cell.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.apps.splitting import ZeroRoundSplitting
 from repro.bipartite.generators import configuration_model_regular, random_sparse_graph
+from repro.bipartite.instance import BLUE, RED
 from repro.core.problems import UniformSplittingSpec
+from repro.local.contracts import edge_arrays, mis_counts, sink_mask, splitting_defects
 from repro.local.engine import CSREngine
 from repro.local.network import Network, run_local
 from repro.mis.luby import LubyMIS
 from repro.obs.hooks import TracingHooks
-from repro.orientation.sinkless import TrialAndFixSinkless, sinks
+from repro.orientation.sinkless import TrialAndFixSinkless, _engine_sinks, slot_states
 from repro.scenarios.base import PerturbationHooks, bind_all, quiet_after, rewrite_all
-from repro.scenarios.contracts import (
-    alive_mask,
-    final_edge_ok,
-    mis_violations,
-    orientation_from_views,
-    splitting_violations,
-    surviving_sinks,
-)
+from repro.scenarios.contracts import final_edge_ok, orientation_from_views
+from repro.scenarios.recovery import edge_ok_slot_mask
 from repro.scenarios.registry import Scenario, get_scenario
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
@@ -243,10 +239,14 @@ def run_scenario(
     return metrics
 
 
+def _views_flag(views, key: str) -> np.ndarray:
+    """``bool(view.state.get(key))`` per node, as a bool array."""
+    return np.fromiter((bool(v.state.get(key)) for v in views), dtype=bool, count=len(views))
+
+
 def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None,
               tracer=None, recover=False):
-    adjacency = network.adjacency
-    edge_ok = final_edge_ok(bound)
+    edge_mask = edge_ok_slot_mask(bound)
     if backend == "dense":
         from repro.local.dense import luby_mis_batched
         from repro.scenarios.masks import DenseFaults
@@ -255,10 +255,8 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
             engine, [seed], max_rounds=max_rounds,
             faults=DenseFaults(engine, bound, layout=layout), tracer=tracer,
         ).trial(0)
-        alive = [not c for c in result.crashed]
-        mis = {int(i) for i in result.in_mis.nonzero()[0]}
-        completed = result.completed
-        rounds = result.rounds
+        in_mis, crashed = result.in_mis, result.crashed
+        mis = set(np.flatnonzero(in_mis).tolist())
     else:
         hooks = PerturbationHooks(bound)
         if tracer is not None and tracer.enabled:
@@ -267,26 +265,21 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
             result = run_local(network, LubyMIS(), max_rounds=max_rounds, seed=seed, hooks=hooks)
         else:
             result = engine.run(LubyMIS(), max_rounds=max_rounds, seed=seed, hooks=hooks)
-        alive = alive_mask(result.views)
-        mis = {
-            i
-            for i, v in enumerate(result.views)
-            if alive[i] and v.state.get("in_mis")
-        }
-        completed = result.completed
-        rounds = result.rounds
+        in_mis = _views_flag(result.views, "in_mis")
+        crashed = _views_flag(result.views, "crashed")
+        mis = set(np.flatnonzero(in_mis & ~crashed).tolist())
+    completed = result.completed
+    rounds = result.rounds
+
+    def counts():
+        return mis_counts(network.offsets, network.dst_node, in_mis, ~crashed, edge_mask)
+
     metrics = {}
     if recover:
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import luby_repair
 
-        if backend == "dense":
-            in_mis = result.in_mis
-            crashed = result.crashed
-        else:
-            in_mis = np.array([bool(v.state.get("in_mis")) for v in result.views])
-            crashed = np.array([bool(v.state.get("crashed")) for v in result.views])
-        pre_ind, pre_dom = mis_violations(adjacency, mis, alive=alive, edge_ok=edge_ok)
+        pre_ind, pre_dom = counts()
         # ``max_rounds`` bounds the base run only: a base run that stalled
         # against its cap is exactly the state repair exists for, so the
         # tail gets its own REPAIR_ROUND_CAP-bounded budget.
@@ -294,15 +287,14 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
             engine, DenseFaults(engine, bound, layout=layout), seed, in_mis,
             crashed, start_round=rounds + 1,
         )
-        alive = [not bool(c) for c in crashed]
-        mis = {i for i in range(network.n) if alive[i] and in_mis[i]}
+        mis = set(np.flatnonzero(in_mis & ~crashed).tolist())
         rounds = rep.last_round
         completed = bool(completed) or rep.recovered
         metrics["recovered"] = int(rep.recovered)
         metrics["repair_rounds"] = rep.repair_rounds
         metrics["violations_before_recovery"] = pre_ind + pre_dom
-    independence, domination = mis_violations(adjacency, mis, alive=alive, edge_ok=edge_ok)
-    survivors = sum(alive)
+    independence, domination = counts()
+    survivors = int(np.count_nonzero(~crashed))
     metrics.update({
         "rounds": rounds,
         "completed": int(completed),
@@ -316,10 +308,10 @@ def _run_luby(sc, network, engine, bound, backend, seed, max_rounds, layout=None
     })
     state = {
         "pipeline": "luby",
-        "adjacency": adjacency,
+        "adjacency": network.adjacency,
         "mis": mis,
-        "alive": alive,
-        "edge_ok": edge_ok,
+        "alive": (~crashed).tolist(),
+        "edge_ok": final_edge_ok(bound),
     }
     return metrics, state
 
@@ -392,7 +384,7 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds,
             max_rounds=max_rounds, faults=DenseFaults(engine, bound, layout=layout),
             strict=False, tracer=tracer,
         ).trial(0)
-        alive = [not c for c in result.crashed]
+        crashed = result.crashed
         orientation = dense_orientation(engine, result.out)
         completed = result.completed
         rounds = result.rounds
@@ -406,70 +398,64 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds,
         # whose outgoing edge leads to a dead neighbor rightly believes it
         # is done.  Residual surviving-subgraph sinks are recorded as
         # violations below.  (This is exactly the dense kernel's probe.)
-        def probe(round_no: int, views) -> bool:
-            if round_no < 2:
-                return False
+        def live_sinks(views) -> bool:
             orientation = orientation_from_views(adjacency, views)
-            alive = alive_mask(views)
-            return not any(alive[v] for v in sinks(adjacency, orientation, min_degree))
+            remaining = _engine_sinks(engine, orientation, min_degree)
+            return bool((remaining & ~_views_flag(views, "crashed")).any())
+
+        def probe(round_no: int, views) -> bool:
+            return round_no >= 2 and not live_sinks(views)
 
         result = engine.run(
             TrialAndFixSinkless(min_degree=min_degree),
             max_rounds=max_rounds, seed=seed, probe=probe, hooks=hooks,
         )
-        alive = alive_mask(result.views)
+        crashed = _views_flag(result.views, "crashed")
         orientation = orientation_from_views(adjacency, result.views)
         rounds = result.rounds
-        completed = rounds >= 2 and not any(
-            alive[v] for v in sinks(adjacency, orientation, min_degree)
-        )
+        completed = rounds >= 2 and not live_sinks(result.views)
+
+    def sinks_left() -> int:
+        tails, heads = edge_arrays(orientation)
+        return int(np.count_nonzero(sink_mask(
+            network.offsets, network.dst_node, tails, heads, min_degree, ~crashed
+        )))
+
     metrics = {}
     if recover:
         from repro.local.dense import dense_orientation
         from repro.scenarios.masks import DenseFaults
         from repro.scenarios.recovery import sinkless_repair
 
-        if backend == "dense":
-            out = result.out
-            crashed = result.crashed
-        else:
-            offsets = engine.offsets
-            out = np.zeros(int(offsets[-1]), dtype=bool)
-            crashed = np.zeros(network.n, dtype=bool)
-            for i, view in enumerate(result.views):
-                base = int(offsets[i])
-                for p, is_out in view.state.get("out", {}).items():
-                    out[base + p] = bool(is_out)
-                crashed[i] = bool(view.state.get("crashed"))
-        pre = len(surviving_sinks(adjacency, orientation, alive, min_degree))
+        out = result.out if backend == "dense" else slot_states(engine, result.views)[0]
+        pre = sinks_left()
         # Base-run cap only; the repair tail is REPAIR_ROUND_CAP-bounded
         # (a base run livelocked by corrupted flips *needs* the tail).
         rep = sinkless_repair(
             engine, DenseFaults(engine, bound, layout=layout), seed, out,
             crashed, min_degree, start_round=rounds + 1,
         )
-        alive = [not bool(c) for c in crashed]
         orientation = dense_orientation(engine, out)
         rounds = rep.last_round
         completed = bool(completed) or rep.recovered
         metrics["recovered"] = int(rep.recovered)
         metrics["repair_rounds"] = rep.repair_rounds
         metrics["violations_before_recovery"] = pre
-    remaining = surviving_sinks(adjacency, orientation, alive, min_degree)
-    survivors = sum(alive)
+    violations = sinks_left()
+    survivors = int(np.count_nonzero(~crashed))
     metrics.update({
         "rounds": rounds,
         "completed": int(completed),
         "survivors": survivors,
         "crashed_nodes": network.n - survivors,
-        "violations": len(remaining),
+        "violations": violations,
         "rng_seconds": getattr(result, "rng_seconds", 0.0),
     })
     state = {
         "pipeline": "sinkless",
         "adjacency": adjacency,
         "orientation": orientation,
-        "alive": alive,
+        "alive": (~crashed).tolist(),
         "min_degree": min_degree,
     }
     return metrics, state
@@ -477,14 +463,11 @@ def _run_sinkless(sc, network, engine, bound, backend, seed, max_rounds,
 
 def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts,
                    layout=None, tracer=None, recover=False):
-    adjacency = network.adjacency
     spec = UniformSplittingSpec(eps=sc.eps, min_constrained_degree=max(2, degree // 2))
     rng = ensure_rng(seed)
     if backend == "dense":
         from repro.local.dense import uniform_splitting_batched
         from repro.scenarios.masks import DenseFaults
-    partition: List[Optional[int]] = [None] * network.n
-    alive = [True] * network.n
     accepted = False
     attempts = 0
     rng_seconds = 0.0
@@ -501,8 +484,7 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts,
                 faults=DenseFaults(engine, attempt_bound, layout=layout),
                 tracer=tracer,
             ).trial(0)
-            partition = [int(c) for c in result.colors]
-            alive = [not c for c in result.crashed]
+            colors, crashed = result.colors, result.crashed
             accepted = bool(result.ok)
         else:
             hooks = PerturbationHooks(attempt_bound)
@@ -513,59 +495,50 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts,
                 result = run_local(network, algorithm, max_rounds=1, seed=run_seed, hooks=hooks)
             else:
                 result = engine.run(algorithm, max_rounds=1, seed=run_seed, hooks=hooks)
-            alive = alive_mask(result.views)
-            partition = [
-                v.output[0] if alive[i] and v.output is not None else v.state.get("color")
+            crashed = _views_flag(result.views, "crashed")
+            colors = np.array([
+                v.output[0] if not crashed[i] and v.output is not None else v.state.get("color")
                 for i, v in enumerate(result.views)
-            ]
+            ], dtype=np.int64)
             accepted = all(
                 v.output[1]
                 for i, v in enumerate(result.views)
-                if alive[i] and v.output is not None
+                if not crashed[i] and v.output is not None
             )
             rng_seconds += result.rng_seconds
         if accepted:
             break
     # Ground truth for the attempt that actually stood (its binding decides
     # the final edge set under edge-dropping perturbations).
-    edge_ok = final_edge_ok(attempt_bound)
+    edge_mask = edge_ok_slot_mask(attempt_bound)
+
+    def defects():
+        return splitting_defects(
+            network.offsets, network.dst_node, colors == RED, spec, ~crashed, edge_mask
+        )
+
     rounds = attempts  # one communication round per Las-Vegas attempt
     completed = accepted
     metrics = {}
     if recover:
-        from repro.bipartite.instance import BLUE, RED
         from repro.scenarios.masks import DenseFaults
-        from repro.scenarios.recovery import edge_ok_slot_mask, splitting_repair
+        from repro.scenarios.recovery import splitting_repair
 
-        colors = np.asarray(partition, dtype=np.int64)
-        crashed = np.array([not a for a in alive], dtype=bool)
-        pre = len(
-            splitting_violations(adjacency, partition, spec, alive=alive, edge_ok=edge_ok)
-        )
+        pre = int(np.count_nonzero(defects()[0]))
         # Repair continues the final attempt's environment: its binding is
         # the schedule still in force and its run seed keys the repair coins.
         rep = splitting_repair(
             engine, DenseFaults(engine, attempt_bound, layout=layout), spec,
             run_seed, colors, crashed, start_round=2, red=RED, blue=BLUE,
-            edge_ok_mask=edge_ok_slot_mask(engine, attempt_bound),
+            edge_ok_mask=edge_mask,
         )
-        partition = [int(c) for c in colors]
-        alive = [not bool(c) for c in crashed]
         rounds = attempts + rep.repair_rounds
         completed = bool(accepted) or rep.recovered
         metrics["recovered"] = int(rep.recovered)
         metrics["repair_rounds"] = rep.repair_rounds
         metrics["violations_before_recovery"] = pre
-    bad = splitting_violations(
-        adjacency, partition, spec, alive=alive, edge_ok=edge_ok
-    )
-    survivors = sum(alive)
-    constrained = sum(
-        1
-        for i in range(network.n)
-        if alive[i]
-        and spec.constrains(sum(1 for j in adjacency[i] if alive[j]))
-    )
+    bad, constrained = defects()
+    survivors = int(np.count_nonzero(~crashed))
     metrics.update({
         "rounds": rounds,
         "completed": int(completed),
@@ -573,16 +546,16 @@ def _run_splitting(sc, network, engine, backend, seed, degree, max_attempts,
         "accepted": int(accepted),
         "survivors": survivors,
         "crashed_nodes": network.n - survivors,
-        "constrained": constrained,
-        "violations": len(bad),
+        "constrained": int(np.count_nonzero(constrained)),
+        "violations": int(np.count_nonzero(bad)),
         "rng_seconds": rng_seconds,
     })
     state = {
         "pipeline": "splitting",
-        "adjacency": adjacency,
-        "partition": partition,
-        "alive": alive,
+        "adjacency": network.adjacency,
+        "partition": colors.tolist(),
+        "alive": (~crashed).tolist(),
         "spec": spec,
-        "edge_ok": edge_ok,
+        "edge_ok": final_edge_ok(attempt_bound),
     }
     return metrics, state

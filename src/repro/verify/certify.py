@@ -1,7 +1,8 @@
 """Exact contract certification: independent brute-force oracles (n <= 64).
 
-The scenario layer's verifiers (:mod:`repro.scenarios.contracts`) are
-port-loop implementations sharing conventions with the runners they judge;
+The scenario layer's verifiers (:mod:`repro.scenarios.contracts`, thin
+callers of the CSR array contracts in :mod:`repro.local.contracts`) share
+their code with the runners and repair tails they judge;
 the recovery layer (:mod:`repro.scenarios.recovery`) additionally *claims*
 that a recovered end state has zero violations.  This module re-derives
 every contract from its definition with a different computational
@@ -99,7 +100,8 @@ def exact_mis_violations(
     """``(independence, domination)`` recomputed with bitset arithmetic.
 
     Matches the counting convention of
-    :func:`repro.scenarios.contracts.mis_violations`: independence counts
+    :func:`repro.scenarios.contracts.mis_violations` (the array contract
+    :func:`repro.local.contracts.mis_counts`): independence counts
     surviving MIS-MIS edges once from the lower endpoint's side (with
     multiplicity on multigraphs), domination counts alive non-MIS nodes
     whose surviving view contains no MIS node.
@@ -139,7 +141,8 @@ def exact_surviving_sinks(
 ) -> List[int]:
     """Accountable alive sinks recomputed with bitset arithmetic.
 
-    Matches :func:`repro.scenarios.contracts.surviving_sinks`:
+    Matches :func:`repro.scenarios.contracts.surviving_sinks` (the array
+    contract :func:`repro.local.contracts.sink_mask`):
     accountability uses the alive-neighbor count of the *full* adjacency,
     outgoing edges only help when both endpoints are alive.
     """

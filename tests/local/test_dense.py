@@ -262,6 +262,24 @@ class TestKeyedStatisticalValidity:
         assert dense.completed and dense.rounds <= 40
 
 
+class TestDenseOrientationDict:
+    def test_same_dict_and_order_as_per_item_build(self):
+        from repro.local.dense import _slot_owner
+
+        adj = random_sparse_graph(3000, 8, seed=4)
+        engine = CSREngine(Network(adj))
+        out = dense_sinkless(engine, seed=2, min_degree=1).out
+        owner = _slot_owner(engine.offsets)
+        low = np.flatnonzero(owner < engine.dst_node)
+        srcs = np.where(out[low], owner[low], engine.dst_node[low])
+        dsts = np.where(out[low], engine.dst_node[low], owner[low])
+        expected = {(int(u), int(v)): True for u, v in zip(srcs, dsts)}
+        got = dense_orientation(engine, out)
+        assert got == expected
+        assert list(got) == list(expected)
+        assert all(type(u) is int and type(v) is int for u, v in got)
+
+
 class TestDenseExports:
     def test_lazy_exports_resolve(self):
         import repro.local as local

@@ -23,6 +23,9 @@ from repro.scenarios import (
     splitting_violations,
     surviving_sinks,
 )
+from repro.bipartite.generators import random_sparse_graph
+from repro.scenarios import LateEdges, all_scenarios, final_edge_ok
+from repro.scenarios.recovery import edge_ok_slot_mask
 from tests.conftest import cycle_graph
 
 
@@ -184,6 +187,32 @@ class TestDynamicEdges:
             assert bound.delivers(2, s, p)
             assert not bound.delivers(3, s, p)
             assert not bound.delivers(10, s, p)
+
+
+class TestEdgeFinalMask:
+    @pytest.mark.parametrize(
+        "scenario",
+        [sc for sc in all_scenarios() if any(
+            isinstance(p, (DropEdges, EdgeChurn, LateEdges)) for p in sc.perturbations
+        )],
+        ids=lambda sc: sc.name,
+    )
+    def test_slot_mask_matches_scalar_predicate(self, scenario):
+        adj, ids = rewrite_all(scenario.perturbations, random_sparse_graph(200, 6, seed=2))
+        net = Network(adj, ids=ids)
+        for seed in (0, 1):
+            bound = bind_all(scenario.perturbations, net, fault_seed=seed)
+            mask = edge_ok_slot_mask(bound)
+            ok = final_edge_ok(bound)
+            scalar = [ok(s, p) for s in range(net.n) for p in range(net.degree(s))]
+            assert (mask.tolist() if mask is not None else [True] * len(scalar)) == scalar
+
+    def test_only_deletions_leave_a_mask(self):
+        net = Network(cycle_graph(40))
+        stack = (CrashNodes(fraction=0.1), EdgeChurn(p_down=0.5), LateEdges())
+        assert edge_ok_slot_mask(bind_all(stack, net, fault_seed=1)) is None
+        mask = edge_ok_slot_mask(bind_all(stack + (DropEdges(0.5),), net, fault_seed=1))
+        assert mask is not None and 0 < mask.sum() < mask.size
 
 
 class TestRewrites:
